@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-json bench-gate vet vuln fmt experiments fuzz snapshot-fuzz robustness-smoke queryscale-smoke overload-smoke fleet-smoke perf-smoke clean
+.PHONY: all build test race bench bench-json bench-gate perfbench vet vuln fmt experiments fuzz snapshot-fuzz robustness-smoke queryscale-smoke overload-smoke fleet-smoke perf-smoke clean
 
 all: build test
 
@@ -24,9 +24,20 @@ bench-json:
 
 # Regression gate: rerun the suite and compare windows/sec and allocs/op
 # against the previous PR's committed baseline. Fails when any benchmark
-# regresses beyond the tolerance.
+# regresses beyond the tolerance. Fresh results land in the gitignored
+# bench-report/, never over a committed BENCH_*.json.
 bench-gate:
-	$(GO) run ./cmd/vcdbench -bench-json BENCH_PR10.json -bench-compare BENCH_PR9.json -bench-tolerance 0.35
+	mkdir -p bench-report
+	$(GO) run ./cmd/vcdbench -bench-json bench-report/BENCH.json -bench-compare BENCH_PR9.json -bench-tolerance 0.35
+
+# End-to-end benchmark, MVC1 bytes → matches (perfbench/, registered in
+# BENCHMARK.json): one workload for 30 s. TRACE=1 adds the per-layer
+# figures from a traced round. Build state stays under .bench_build/.
+WORKLOAD ?= vs2-stream
+SEED ?= 1
+TRACE ?= 0
+perfbench:
+	bash perfbench/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds 30 --trace $(TRACE)
 
 vet:
 	$(GO) vet ./...

@@ -18,8 +18,10 @@
 // REPLAY prefix — the crashed run may already have printed them).
 //
 // With -metrics-addr the monitor serves Prometheus metrics (GET /metrics)
-// on a side listener while it runs; set TELEMETRY_SLOW_WINDOW=budget to
-// also log any basic window that processes slower than real time.
+// on a side listener while it runs. Any basic window that processes slower
+// than real time (its -real-time-budget, else -window seconds) is counted
+// in vcd_slow_windows_total and, with -span-log, written there with its
+// per-stage breakdown even when -span-sample passed it over.
 //
 // With -real-time-budget the overload controller watches per-window ingest
 // latency against the budget; adding -shed lets it drop low-information

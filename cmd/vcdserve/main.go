@@ -20,8 +20,8 @@
 //	POST   /snapshot                          checkpoint service state now
 //	GET    /debug/events                      lifecycle event journal (arm with -trace-events)
 //	GET    /debug/matches[/{id}]              match provenance (explain) records
-//	GET/POST /debug/slow-window               read / retune the slow-window budget live
-//	GET/POST /debug/spans                     sampled perf spans (NDJSON) / retune sampling live
+//	GET/POST /debug/spans                     sampled + slow-window perf spans (NDJSON;
+//	                                          ?min_total=250ms keeps the slow ones) / retune sampling live
 //	GET    /debug/fleet/top                   slowest / most-shed / most-backpressured streams
 //	/debug/pprof/*                            profiling, only with -pprof
 //

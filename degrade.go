@@ -21,10 +21,6 @@ import (
 )
 
 var (
-	telShedLevel = telemetry.Default.Gauge("vcd_shed_level",
-		"Current overload shed level (0 = full fidelity, 3 = maximum shedding).")
-	telShedTransitions = telemetry.Default.Counter("vcd_shed_transitions_total",
-		"Shed level changes (both directions) decided by the overload controller.")
 	telShedExtract = telemetry.Default.Counter("vcd_shed_frames_total",
 		"Key frames shed under overload, by pipeline stage.",
 		telemetry.L("stage", "extract"))
@@ -73,14 +69,13 @@ type OverloadStats struct {
 }
 
 // ovlState is the per-detector half of the overload machinery. The
-// controller itself is shared by the lineage (like the slow-window
-// budget); sampler, motion scorer and damage counters are per stream.
+// controller itself is shared by the lineage; sampler, motion scorer and
+// damage counters are per stream.
 type ovlState struct {
 	sampler *degrade.Sampler
 	motion  feature.MotionScorer
 
-	lastCell  uint64 // most recent emitted cell id, for substitution
-	lastLevel int32
+	lastCell uint64 // most recent emitted cell id, for substitution
 
 	extractShed atomic.Int64
 	decodeShed  atomic.Int64
@@ -88,11 +83,11 @@ type ovlState struct {
 	retries     atomic.Int64
 }
 
-// armOverload wires eng's window-latency feed to the lineage's overload
-// controller. Called from every engine construction site (NewDetector,
-// NewStreamNamed, LoadDetector, Resume) so all engines of a lineage feed
-// one loop. A detector without a real-time budget stays unwired — the
-// timed window path then costs nothing extra.
+// armOverload attaches the lineage's overload controller to eng, which
+// then feeds it every window's ingest total (decode + extract + kernel)
+// from its window record. Called from every engine construction site via
+// adopt, so all engines of a lineage feed one loop. A detector without a
+// real-time budget stays unwired.
 func (d *Detector) armOverload(eng *core.Engine) {
 	if d.ovl == nil {
 		d.ovl = &ovlState{sampler: degrade.NewSampler()}
@@ -103,7 +98,7 @@ func (d *Detector) armOverload(eng *core.Engine) {
 		}
 		d.ctl = degrade.NewController(degrade.ControllerConfig{Budget: d.cfg.RealTimeBudget})
 	}
-	eng.OnWindowDone = d.observeIngestWindow
+	eng.SetController(d.ctl)
 }
 
 // SetRealTimeBudget retunes (or arms) the overload controller at runtime.
@@ -166,26 +161,6 @@ func (d *Detector) Overload() OverloadStats {
 	s.RunWindows, s.Observed = cs.RunWindows, cs.Observed
 	s.ShedWindows, s.Transitions = cs.ShedWindows, cs.Transitions
 	return s
-}
-
-// observeIngestWindow is the engine's OnWindowDone hook: it completes the
-// kernel's window duration with the front end's (decode + extract, stored
-// by the frontEndTimer at the window-filling frame) and feeds the loop.
-func (d *Detector) observeIngestWindow(kernel time.Duration) {
-	if d.ctl == nil {
-		return
-	}
-	total := kernel
-	if d.fe != nil {
-		dec, ext := d.fe.takeLast()
-		total += dec + ext
-	}
-	level := int32(d.ctl.Observe(total))
-	if prev := d.ovl.lastLevel; level != prev {
-		d.ovl.lastLevel = level
-		telShedLevel.Set(float64(level))
-		telShedTransitions.Inc()
-	}
 }
 
 // shedArmed reports whether the monitor loop should make shed decisions.

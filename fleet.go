@@ -68,17 +68,7 @@ func NewFleet(cfg Config, fc FleetConfig) (*Fleet, error) {
 // already subscribed (or subscribed later through either side) cover the
 // detector's own stream and every fleet stream alike.
 func (d *Detector) NewFleet(fc FleetConfig) (*Fleet, error) {
-	ecfg := d.engine.Config()
-	// Pool streams run their windows serially; parallelism comes from the
-	// pool's workers, not from fanning out inside each window.
-	ecfg.Workers = 0
-	pcfg := fleet.Config{
-		Engine:      ecfg,
-		Workers:     fc.Workers,
-		MaxStreams:  fc.MaxStreams,
-		QueueFrames: fc.QueueWindows * d.winKeyF,
-	}
-	pool, err := fleet.NewWith(pcfg, d.engine.Queries())
+	pool, err := fleet.NewWith(d.poolConfig(fc), d.engine.Queries())
 	if err != nil {
 		return nil, err
 	}
@@ -94,19 +84,26 @@ func RestoreFleet(cfg Config, fc FleetConfig, r io.Reader) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
-	ecfg := d.engine.Config()
-	ecfg.Workers = 0
-	pcfg := fleet.Config{
-		Engine:      ecfg,
-		Workers:     fc.Workers,
-		MaxStreams:  fc.MaxStreams,
-		QueueFrames: fc.QueueWindows * d.winKeyF,
-	}
-	pool, err := fleet.Restore(pcfg, r, d.meta())
+	pool, err := fleet.Restore(d.poolConfig(fc), r, d.meta())
 	if err != nil {
 		return nil, err
 	}
 	return &Fleet{cfg: cfg, pl: d.pipeline, winKeyF: d.winKeyF, pool: pool}, nil
+}
+
+// poolConfig derives the stream pool's configuration from this detector's.
+func (d *Detector) poolConfig(fc FleetConfig) fleet.Config {
+	ecfg := d.engine.Config()
+	// Pool streams run their windows serially; parallelism comes from the
+	// pool's workers, not from fanning out inside each window.
+	ecfg.Workers = 0
+	return fleet.Config{
+		Engine:      ecfg,
+		Workers:     fc.Workers,
+		MaxStreams:  fc.MaxStreams,
+		QueueFrames: fc.QueueWindows * d.winKeyF,
+		Window:      d.cfg.window(),
+	}
 }
 
 // Checkpoint writes the fleet's full state: the shared query plane once,

@@ -125,7 +125,7 @@ func BenchWindowSpans(name string, workers, every int) (Result, error) {
 	}
 	col := perfobs.NewCollector(perfobs.DefaultRing)
 	col.SetSampleEvery(int64(every))
-	eng.SetPerf(col, "bench")
+	eng.SetPerf(col, "bench", 0)
 	prev := telemetry.SetEnabled(false)
 	defer telemetry.SetEnabled(prev)
 	r := testing.Benchmark(func(b *testing.B) {

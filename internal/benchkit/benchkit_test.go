@@ -21,7 +21,7 @@ func allocsPerWindow(t *testing.T, every int) float64 {
 	if every >= 0 {
 		col := perfobs.NewCollector(perfobs.DefaultRing)
 		col.SetSampleEvery(int64(every))
-		eng.SetPerf(col, "bench")
+		eng.SetPerf(col, "bench", 0)
 	}
 	i := 0
 	return testing.AllocsPerRun(200, func() {
@@ -33,15 +33,19 @@ func allocsPerWindow(t *testing.T, every int) float64 {
 // TestZeroSamplingSpanCaptureAddsNoAllocs pins the hot-path contract: a
 // collector attached with sampling off must add exactly zero allocations
 // per window compared to no collector — the disabled path is one atomic
-// load.
+// load — and, because the window record is engine-owned, so must turning
+// telemetry on (every window then timed and fed to the histograms).
 func TestZeroSamplingSpanCaptureAddsNoAllocs(t *testing.T) {
 	prev := telemetry.SetEnabled(false)
 	defer telemetry.SetEnabled(prev)
 	base := allocsPerWindow(t, -1)
-	armed := allocsPerWindow(t, 0)
-	if d := armed - base; math.Abs(d) > 0.01 {
-		t.Errorf("zero-sampling span capture adds %.2f allocs/window (base %.1f, armed %.1f), want 0",
-			d, base, armed)
+	for _, telemetryOn := range []bool{false, true} {
+		telemetry.SetEnabled(telemetryOn)
+		armed := allocsPerWindow(t, 0)
+		if d := armed - base; math.Abs(d) > 0.01 {
+			t.Errorf("telemetry=%v: zero-sampling span capture adds %.2f allocs/window (base %.1f, armed %.1f), want 0",
+				telemetryOn, d, base, armed)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"vdsms/internal/bitsig"
+	"vdsms/internal/degrade"
 	"vdsms/internal/minhash"
 	"vdsms/internal/perfobs"
 	"vdsms/internal/qindex"
@@ -61,24 +62,6 @@ type Engine struct {
 	// the goroutine calling PushFrame/PushFrames/Flush.
 	OnMatch func(Match)
 
-	// SlowWindow, when positive, arms the slow-window tracer: any basic
-	// window whose processing exceeds it is reported through OnSlowWindow
-	// with a per-stage breakdown. Set both before pushing frames.
-	SlowWindow time.Duration
-	// SlowVar, when non-nil, overrides SlowWindow with a runtime-adjustable
-	// budget read once per window (shared across a detector lineage so
-	// POST /debug/slow-window reaches every live engine).
-	SlowVar *SlowBudget
-	// OnSlowWindow receives slow-window traces; invoked synchronously on
-	// the pushing goroutine, so keep it cheap.
-	OnSlowWindow func(SlowWindowTrace)
-	// OnWindowDone, when non-nil, receives every basic window's total
-	// processing duration, synchronously on the pushing goroutine — the
-	// overload controller's feed. Setting it forces the timed path (the
-	// same clock reads telemetry uses), so leave it nil unless a consumer
-	// is actually listening.
-	OnWindowDone func(total time.Duration)
-
 	// Decision-provenance state (see trace.go). trc is nil unless tracing
 	// was armed; its enabled flag is sampled once per window into
 	// windowResult.tr, the pointer every kernel recording site checks.
@@ -98,15 +81,20 @@ type Engine struct {
 	// (shared process-wide by shard id via the telemetry registry).
 	telShardCompared []*telemetry.Counter
 
-	// perf is the span collector this engine samples into (nil = spans
-	// off; see SetPerf) and perfLabel the stream label on exported spans.
-	// pendingSpanNS stages out-of-kernel stage durations (front-end
-	// decode/extract from the facade, queue-wait/worker-hop from the fleet)
-	// for the next processed window; consumed — sampled or not — at the
-	// window's start so stale spans never leak across windows.
-	perf          *perfobs.Collector
-	perfLabel     string
-	pendingSpanNS [perfobs.NumStages]int64
+	// span is this engine's one per-window observation record (see
+	// perf.go): front ends add out-of-kernel stages into it between
+	// windows, processWindow fills the kernel stages and hands it to
+	// finishWindow, then clears it. perf is the span collector the record
+	// is sampled into (nil = spans off; see SetPerf), perfLabel the stream
+	// label on exported spans and window the stream's basic-window
+	// duration — the tail-capture budget when no controller is attached.
+	// ctl is the overload controller fed every window's ingest total (nil
+	// = none; see SetController).
+	span      perfobs.Span
+	perf      *perfobs.Collector
+	perfLabel string
+	window    time.Duration
+	ctl       *degrade.Controller
 
 	// Pre-filter accounting for this engine's windows, outside Stats so
 	// the snapshot codec is untouched (the tier is a runtime choice).
@@ -304,34 +292,27 @@ func (e *Engine) maxWindowsOf(q *queryInfo) int { return e.cfg.maxWindows(q.fram
 // merge is the identity — the original serial path.
 //
 // Stage timing (sketch → probe → combine → merge, plus the window total)
-// runs when telemetry is enabled or the slow-window tracer is armed: two
-// clock reads per serial stage and two per shard, feeding the
-// vcd_stage_duration_seconds histograms and OnSlowWindow. The timed path
-// allocates nothing beyond what the untimed kernel already does.
+// runs whenever a sink listens — telemetry is on, the span sampler drew
+// this window, or an overload controller is attached: two clock reads per
+// serial stage and two per shard, written into the engine's record and
+// handed to finishWindow. The timed path allocates nothing beyond what the
+// untimed kernel already does.
 func (e *Engine) processWindow() {
 	e.stats.Windows++
 	telWindows.Inc()
-	// Span sampling: one atomic load when the collector is armed but this
-	// window loses the cadence draw; nothing at all when perf is unset.
-	var sp *perfobs.Span
-	if e.perf != nil {
-		sp = e.perf.Begin(e.perfLabel)
-		if sp != nil {
-			sp.NS = e.pendingSpanNS
-		}
-		e.pendingSpanNS = [perfobs.NumStages]int64{}
-	}
-	slow := e.slowBudget()
-	timed := telemetry.Enabled() || (slow > 0 && e.OnSlowWindow != nil) || e.OnWindowDone != nil || sp != nil
+	// The one timing gate. The sampler draw is one atomic load when the
+	// collector is attached but off, nothing at all when perf is unset.
+	sp := &e.span
+	sampled := e.perf != nil && e.perf.Draw(sp)
+	timed := sampled || telemetry.Enabled() || e.ctl != nil
 	var t0, t1 time.Time
 	if timed {
 		t0 = time.Now()
 	}
 	wsk := e.qs.Family().SketchSet(e.curIDs)
-	var sketchD time.Duration
 	if timed {
 		t1 = time.Now()
-		sketchD = t1.Sub(t0)
+		sp.Set(perfobs.StageSketch, t1.Sub(t0))
 	}
 	sp.AllocMark(perfobs.StageSketch)
 	// The entire window is processed against one immutable plane captured
@@ -377,9 +358,8 @@ func (e *Engine) processWindow() {
 	}
 	// The serial spine work before the fork accrues to the merge stage,
 	// together with its post-join counterpart below.
-	var preD time.Duration
 	if timed {
-		preD = time.Since(t1)
+		sp.Set(perfobs.StageMerge, time.Since(t1))
 	}
 
 	e.runShards(func(s *engineShard) {
@@ -428,12 +408,12 @@ func (e *Engine) processWindow() {
 	sp.AllocMark(perfobs.StageMerge)
 	if timed {
 		end := time.Now()
-		total := end.Sub(t0)
-		e.observeWindow(win, slow, sketchD, preD+end.Sub(tMerge), total, sp)
-		if e.OnWindowDone != nil {
-			e.OnWindowDone(total)
-		}
+		sp.Add(perfobs.StageMerge, end.Sub(tMerge))
+		sp.Set(perfobs.StageWindowTotal, end.Sub(t0))
+		e.finishWindow(win, sampled)
 	}
+	// Staged stages belong to exactly one window, timed or not.
+	e.span = perfobs.Span{}
 }
 
 // probeShard determines shard s's related queries for the window: bit

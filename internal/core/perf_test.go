@@ -24,7 +24,7 @@ func perfRun(t *testing.T, workers int) perfobs.AggCounts {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetPerf(col, "det-test")
+	e.SetPerf(col, "det-test", 0)
 	rng := rand.New(rand.NewSource(42))
 	queries := make([][]uint64, 5)
 	for i := range queries {
@@ -80,12 +80,12 @@ func TestPendingSpanConsumedOncePerWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetPerf(col, "s")
+	e.SetPerf(col, "s", 0)
 	rng := rand.New(rand.NewSource(7))
 	if err := e.AddQuery(1, idStream(rng, 1, 12)); err != nil {
 		t.Fatal(err)
 	}
-	e.AddPendingSpanNS(perfobs.StageQueueWait, 12345)
+	e.Span().Add(perfobs.StageQueueWait, 12345)
 	e.PushFrames(idStream(rng, 9, 12)) // three basic windows
 	e.Flush()
 	spans := col.Spans(0)

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"vdsms/internal/degrade"
+	"vdsms/internal/perfobs"
 	"vdsms/internal/telemetry"
 )
 
@@ -90,10 +92,12 @@ func TestStageHistogramsObserve(t *testing.T) {
 	prev := telemetry.SetEnabled(true)
 	defer telemetry.SetEnabled(prev)
 	eng, wins := telemetryEngine(t, 0)
-	stages := map[string]*telemetry.Histogram{
-		"sketch": telStageSketch, "probe": telStageProbe,
-		"combine": telStageCombine, "merge": telStageMerge,
-		"window_total": telStageWindow,
+	stages := map[string]*telemetry.Histogram{}
+	for _, st := range []perfobs.Stage{
+		perfobs.StageSketch, perfobs.StageProbe, perfobs.StageCombine,
+		perfobs.StageMerge, perfobs.StageWindowTotal,
+	} {
+		stages[st.String()] = stageHist[st]
 	}
 	before := make(map[string]int64, len(stages))
 	for name, h := range stages {
@@ -119,72 +123,147 @@ func TestStageTimingDisabled(t *testing.T) {
 	prev := telemetry.SetEnabled(false)
 	defer telemetry.SetEnabled(prev)
 	eng, wins := telemetryEngine(t, 0)
-	before := telStageWindow.Count()
+	before := stageHist[perfobs.StageWindowTotal].Count()
 	for _, w := range wins {
 		eng.PushFrames(w)
 	}
-	if got := telStageWindow.Count() - before; got != 0 {
+	if got := stageHist[perfobs.StageWindowTotal].Count() - before; got != 0 {
 		t.Errorf("stage histograms observed %d windows with telemetry disabled, want 0", got)
 	}
 }
 
-// TestSlowWindowTracer arms the tracer with a 1ns budget so every window
-// is slow, and checks the per-stage breakdown is sane.
-func TestSlowWindowTracer(t *testing.T) {
+// TestTailCapture gives every window a 1ns real-time budget with span
+// sampling off: each window must land in the collector's ring with its
+// kernel stage breakdown, move vcd_slow_windows_total once, and stay out
+// of the sampled fold.
+func TestTailCapture(t *testing.T) {
+	prev := telemetry.SetEnabled(true)
+	defer telemetry.SetEnabled(prev)
 	for _, workers := range []int{0, 3} {
 		eng, wins := telemetryEngine(t, workers)
-		var traces []SlowWindowTrace
-		eng.SlowWindow = time.Nanosecond
-		eng.OnSlowWindow = func(tr SlowWindowTrace) { traces = append(traces, tr) }
+		col := perfobs.NewCollector(64)
+		eng.SetPerf(col, "tail", time.Nanosecond)
+		slowBefore := telSlowWindows.Value()
 		for _, w := range wins {
 			eng.PushFrames(w)
 		}
 		windows := eng.Stats().Windows
-		if len(traces) != windows {
-			t.Fatalf("workers=%d: %d traces for %d windows", workers, len(traces), windows)
+		spans := col.Spans(0)
+		if len(spans) != windows {
+			t.Fatalf("workers=%d: %d spans captured for %d windows", workers, len(spans), windows)
 		}
-		for i, tr := range traces {
-			if tr.Total <= 0 {
-				t.Errorf("workers=%d trace %d: Total = %v, want > 0", workers, i, tr.Total)
+		if got := telSlowWindows.Value() - slowBefore; got != int64(windows) {
+			t.Errorf("workers=%d: vcd_slow_windows_total moved by %d, want %d", workers, got, windows)
+		}
+		if col.Sampled() != 0 {
+			t.Errorf("workers=%d: tail captures folded as %d samples", workers, col.Sampled())
+		}
+		for i, sp := range spans {
+			if sp.Stream != "tail" || sp.EndFrame-sp.StartFrame != eng.cfg.WindowFrames {
+				t.Errorf("workers=%d span %d: stream %q frames [%d,%d)", workers, i, sp.Stream, sp.StartFrame, sp.EndFrame)
 			}
-			if tr.Budget != time.Nanosecond {
-				t.Errorf("workers=%d trace %d: Budget = %v", workers, i, tr.Budget)
+			total := sp.NS["window_total"]
+			if total <= 0 {
+				t.Errorf("workers=%d span %d: window_total = %d", workers, i, total)
 			}
-			if tr.EndFrame-tr.StartFrame != eng.cfg.WindowFrames {
-				t.Errorf("workers=%d trace %d: frames [%d,%d) not one window", workers, i, tr.StartFrame, tr.EndFrame)
+			var sum int64
+			for _, st := range []string{"sketch", "probe", "combine", "merge"} {
+				if sp.NS[st] <= 0 {
+					t.Errorf("workers=%d span %d: stage %s = %d, want > 0", workers, i, st, sp.NS[st])
+				}
+				sum += sp.NS[st]
 			}
-			if tr.Sketch < 0 || tr.Probe < 0 || tr.Combine < 0 || tr.Merge < 0 {
-				t.Errorf("workers=%d trace %d: negative stage span: %+v", workers, i, tr)
-			}
-			if sum := tr.Sketch + tr.Probe + tr.Combine + tr.Merge; sum > 10*tr.Total+time.Millisecond {
-				t.Errorf("workers=%d trace %d: stage sum %v wildly exceeds total %v", workers, i, sum, tr.Total)
+			if sum > 10*total+int64(time.Millisecond) {
+				t.Errorf("workers=%d span %d: stage sum %d wildly exceeds total %d", workers, i, sum, total)
 			}
 		}
 	}
 }
 
-// TestSlowWindowTracerQuietWhenUnderBudget gives every window an hour of
-// budget: no trace may fire.
-func TestSlowWindowTracerQuietWhenUnderBudget(t *testing.T) {
+// TestTailCaptureQuietUnderBudget gives every window an hour of budget:
+// nothing may be captured or counted.
+func TestTailCaptureQuietUnderBudget(t *testing.T) {
 	eng, wins := telemetryEngine(t, 2)
-	fired := 0
-	eng.SlowWindow = time.Hour
-	eng.OnSlowWindow = func(SlowWindowTrace) { fired++ }
+	col := perfobs.NewCollector(64)
+	eng.SetPerf(col, "quiet", time.Hour)
+	slowBefore := telSlowWindows.Value()
 	for _, w := range wins {
 		eng.PushFrames(w)
 	}
-	if fired != 0 {
-		t.Errorf("tracer fired %d times under an hour budget", fired)
+	if n := len(col.Spans(0)); n != 0 {
+		t.Errorf("%d windows captured under an hour budget", n)
+	}
+	if got := telSlowWindows.Value() - slowBefore; got != 0 {
+		t.Errorf("vcd_slow_windows_total moved by %d under an hour budget", got)
 	}
 }
 
-// TestTelemetryDeterminism re-checks the serial/parallel contract with the
-// tracer armed and telemetry on: instrumentation must not perturb matches.
+// TestTailCaptureBudgetResolution: an attached controller's live budget
+// overrides the window budget, a retune takes effect at the next window,
+// and a disabled controller falls back to the window budget.
+func TestTailCaptureBudgetResolution(t *testing.T) {
+	eng, wins := telemetryEngine(t, 0)
+	col := perfobs.NewCollector(64)
+	eng.SetPerf(col, "budget", time.Nanosecond)
+	ctl := degrade.NewController(degrade.ControllerConfig{Budget: time.Hour})
+	eng.SetController(ctl)
+	captured := func() int {
+		n := len(col.Spans(0))
+		col.Reset()
+		return n
+	}
+	eng.PushFrames(wins[0])
+	if n := captured(); n != 0 {
+		t.Errorf("controller budget 1h: %d windows captured, want 0", n)
+	}
+	ctl.SetBudget(time.Nanosecond)
+	eng.PushFrames(wins[1])
+	if n := captured(); n != 1 {
+		t.Errorf("controller retuned to 1ns: %d windows captured, want 1", n)
+	}
+	ctl.SetBudget(0)
+	eng.PushFrames(wins[2])
+	if n := captured(); n != 1 {
+		t.Errorf("controller disabled, 1ns window budget: %d windows captured, want 1", n)
+	}
+}
+
+// TestUntimedWindowsCaptureNothing: with telemetry off, sampling off and
+// no controller, no sink listens — the engine offers no record, times
+// nothing and captures nothing, whatever the budget.
+func TestUntimedWindowsCaptureNothing(t *testing.T) {
+	prev := telemetry.SetEnabled(false)
+	defer telemetry.SetEnabled(prev)
+	eng, wins := telemetryEngine(t, 0)
+	col := perfobs.NewCollector(64)
+	eng.SetPerf(col, "off", time.Nanosecond)
+	if eng.Span() != nil {
+		t.Fatal("Span() offered a record with no sink listening")
+	}
+	slowBefore := telSlowWindows.Value()
+	for _, w := range wins {
+		eng.PushFrames(w)
+	}
+	if n := len(col.Spans(0)); n != 0 {
+		t.Errorf("%d windows captured with nothing listening", n)
+	}
+	if got := telSlowWindows.Value() - slowBefore; got != 0 {
+		t.Errorf("vcd_slow_windows_total moved by %d with nothing timed", got)
+	}
+	if eng.span != (perfobs.Span{}) {
+		t.Errorf("untimed window left a record behind: %+v", eng.span)
+	}
+}
+
+// TestTelemetryDeterminism re-checks the serial/parallel contract with
+// telemetry on, every window sampled and (slow = 1ns) tail-captured:
+// instrumentation must not perturb matches.
 func TestTelemetryDeterminism(t *testing.T) {
 	run := func(workers int, slow time.Duration) []Match {
 		eng, wins := telemetryEngine(t, workers)
-		eng.SlowWindow = slow
-		eng.OnSlowWindow = func(SlowWindowTrace) {}
+		col := perfobs.NewCollector(64)
+		col.SetSampleEvery(1)
+		eng.SetPerf(col, "det", slow)
 		for _, w := range wins {
 			eng.PushFrames(w)
 		}

@@ -20,40 +20,10 @@ package core
 
 import (
 	"math"
-	"sync/atomic"
-	"time"
 
 	"vdsms/internal/partition"
 	"vdsms/internal/trace"
 )
-
-// SlowBudget is a runtime-adjustable slow-window threshold. Engines with a
-// non-nil SlowVar read it once per window, so a Set (e.g. from
-// POST /debug/slow-window) takes effect at the next basic window of every
-// engine sharing the budget — no restart, no lock.
-type SlowBudget struct{ ns atomic.Int64 }
-
-// NewSlowBudget returns a budget initialised to d.
-func NewSlowBudget(d time.Duration) *SlowBudget {
-	b := &SlowBudget{}
-	b.Set(d)
-	return b
-}
-
-// Set updates the budget; non-positive disables slow-window tracing.
-func (b *SlowBudget) Set(d time.Duration) { b.ns.Store(int64(d)) }
-
-// Get returns the current budget.
-func (b *SlowBudget) Get() time.Duration { return time.Duration(b.ns.Load()) }
-
-// slowBudget resolves this window's slow-window threshold: the shared
-// runtime-adjustable budget when wired, else the static field.
-func (e *Engine) slowBudget() time.Duration {
-	if e.SlowVar != nil {
-		return e.SlowVar.Get()
-	}
-	return e.SlowWindow
-}
 
 // Trace arms candidate-lifecycle event tracing: a recorder for this engine
 // is registered with j under streamName (empty auto-names it) and every

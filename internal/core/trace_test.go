@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"time"
 
 	"vdsms/internal/trace"
 )
@@ -201,30 +200,5 @@ func TestTraceDisabledAddsNoAllocations(t *testing.T) {
 	disabled := measure(eDis, wDis)
 	if disabled > base {
 		t.Errorf("disabled tracer allocates: %.2f allocs/window vs %.2f without a tracer", disabled, base)
-	}
-}
-
-func TestSlowBudgetRuntimeAdjust(t *testing.T) {
-	cfg := Config{K: 64, Seed: 1, Delta: 0.7, Lambda: 2, WindowFrames: 10}
-	e, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.SlowWindow = 5 * time.Millisecond
-	if got := e.slowBudget(); got != 5*time.Millisecond {
-		t.Errorf("static budget = %v", got)
-	}
-	b := NewSlowBudget(250 * time.Millisecond)
-	e.SlowVar = b
-	if got := e.slowBudget(); got != 250*time.Millisecond {
-		t.Errorf("shared budget = %v, want 250ms", got)
-	}
-	b.Set(0)
-	if got := e.slowBudget(); got != 0 {
-		t.Errorf("budget after Set(0) = %v", got)
-	}
-	b.Set(time.Second)
-	if got := b.Get(); got != time.Second {
-		t.Errorf("Get = %v", got)
 	}
 }

@@ -5,6 +5,15 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"vdsms/internal/telemetry"
+)
+
+var (
+	telShedLevel = telemetry.Default.Gauge("vcd_shed_level",
+		"Current overload shed level (0 = full fidelity, 3 = maximum shedding).")
+	telShedTransitions = telemetry.Default.Counter("vcd_shed_transitions_total",
+		"Shed level changes (both directions) decided by the overload controller.")
 )
 
 // MaxLevel is the highest shed level the controller will request. Levels
@@ -148,8 +157,7 @@ func (c *Controller) SetBudget(d time.Duration) {
 	defer c.mu.Unlock()
 	c.clearEvidenceLocked()
 	if d == 0 && c.level.Load() != 0 {
-		c.level.Store(0)
-		c.transitions++
+		c.setLevelLocked(0)
 	}
 }
 
@@ -160,6 +168,7 @@ func (c *Controller) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.level.Store(0)
+	telShedLevel.Set(0)
 	c.clearEvidenceLocked()
 	c.upStreak, c.downStreak = 0, 0
 }
@@ -226,10 +235,18 @@ func (c *Controller) Observe(total time.Duration) int {
 // changeLevelLocked commits a level change and restarts evidence collection
 // so the next decision is based entirely on windows run at the new level.
 func (c *Controller) changeLevelLocked(level int) {
-	c.level.Store(int32(level))
-	c.transitions++
+	c.setLevelLocked(level)
 	c.upStreak, c.downStreak = 0, 0
 	c.clearEvidenceLocked()
+}
+
+// setLevelLocked stores a new level, counts the transition and publishes
+// both to the vcd_shed_* series.
+func (c *Controller) setLevelLocked(level int) {
+	c.level.Store(int32(level))
+	c.transitions++
+	telShedLevel.Set(float64(level))
+	telShedTransitions.Inc()
 }
 
 // digestLocked adds one observation to the steady-state reservoir.

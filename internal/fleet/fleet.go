@@ -73,6 +73,11 @@ type Config struct {
 	// in-flight). A Push that would exceed it fails with ErrBackpressure.
 	// Defaults to 8 windows.
 	QueueFrames int
+	// Window is the stream duration of one basic window, derived by the
+	// caller from the stream's key-frame rate: every stream's real-time
+	// budget, above which a window's span is tail-captured (see
+	// core.Engine.SetPerf). Zero disables tail capture.
+	Window time.Duration
 }
 
 func (c Config) normalized() Config {
@@ -224,7 +229,7 @@ func (p *Pool) attach(id string, eng *core.Engine) (*Stream, error) {
 	// Fleet engines report spans into the process collector under their
 	// stream id — wired before the stream is published, so no pass can race
 	// the assignment.
-	eng.SetPerf(perfobs.Default, id)
+	eng.SetPerf(perfobs.Default, id, p.cfg.Window)
 	p.streams[id] = s
 	telStreamsActive.Set(float64(len(p.streams)))
 	return s, nil
@@ -369,11 +374,11 @@ func (s *Stream) Push(cellIDs []uint64) error {
 }
 
 // timing reports whether queue-wait/worker-hop clock reads should run:
-// telemetry is on or the engine's span sampler is armed. Called with qmu
-// held; the engine's perf wiring is set before the stream is published and
-// never changes, so reading it here is safe.
+// some sink consumes the engine's window record. Called with qmu held; the
+// engine's perf wiring is set before the stream is published and never
+// changes, so asking for the record here is safe.
 func (s *Stream) timing() bool {
-	return telemetry.Enabled() || s.eng.PerfArmed()
+	return s.eng.Span() != nil
 }
 
 // noteQueued moves the pool-wide queued-frame gauge by delta and maintains
@@ -410,12 +415,12 @@ func (s *Stream) runPass() {
 	// Close the queue-wait (first frame of the generation → pass start) and
 	// worker-hop (wake signal → pass start) spans; attributed to the first
 	// window the pass completes.
-	var qwaitNS, hopNS int64
+	var qwait, hop time.Duration
 	if !s.enqAt.IsZero() {
 		now := time.Now()
-		qwaitNS = now.Sub(s.enqAt).Nanoseconds()
+		qwait = now.Sub(s.enqAt)
 		if !s.wakeAt.IsZero() {
-			hopNS = now.Sub(s.wakeAt).Nanoseconds()
+			hop = now.Sub(s.wakeAt)
 		}
 		s.enqAt, s.wakeAt = time.Time{}, time.Time{}
 	}
@@ -425,12 +430,13 @@ func (s *Stream) runPass() {
 		s.w.passes.Add(1)
 		s.w.frames.Add(int64(len(batch)))
 		s.emu.Lock()
-		if qwaitNS > 0 {
-			s.eng.AddPendingSpanNS(perfobs.StageQueueWait, qwaitNS)
-			s.eng.AddPendingSpanNS(perfobs.StageWorkerHop, hopNS)
+		if qwait > 0 {
+			sp := s.eng.Span()
+			sp.Add(perfobs.StageQueueWait, qwait)
+			sp.Add(perfobs.StageWorkerHop, hop)
 			if telemetry.Enabled() {
-				telQueueWait.Observe(float64(qwaitNS) / 1e9)
-				telWorkerHop.Observe(float64(hopNS) / 1e9)
+				telQueueWait.ObserveDuration(qwait)
+				telWorkerHop.ObserveDuration(hop)
 			}
 		}
 		s.eng.PushFrames(batch)

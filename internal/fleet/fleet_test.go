@@ -8,9 +8,12 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"vdsms/internal/core"
+	"vdsms/internal/perfobs"
 	"vdsms/internal/snapshot"
+	"vdsms/internal/telemetry"
 )
 
 // idStream generates a shot-structured cell-id stream for synthetic
@@ -532,6 +535,69 @@ func TestFleetSmoke(t *testing.T) {
 		}
 		if a, b := streams[i].Stats().Totals(), wantS.Totals(); !reflect.DeepEqual(a, b) {
 			t.Errorf("stream %d: stats diverge:\nfleet    %+v\nisolated %+v", i, a, b)
+		}
+	}
+}
+
+// TestFleetTailCapture: with span sampling off, a fleet whose real-time
+// budget is impossible tail-captures every window of every stream into
+// the process span ring, with the pool's queue-wait on the record; a
+// budget of zero captures nothing.
+func TestFleetTailCapture(t *testing.T) {
+	prev := telemetry.SetEnabled(true)
+	defer telemetry.SetEnabled(prev)
+	perfobs.Default.SetSampleEvery(0)
+	perfobs.Default.Reset()
+	defer perfobs.Default.Reset()
+	for _, window := range []time.Duration{0, time.Nanosecond} {
+		perfobs.Default.Reset()
+		cfg := testConfig(2)
+		cfg.Window = window
+		p, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(3))
+		query := idStream(rng, 1, 30)
+		if err := p.AddQuery(1, query); err != nil {
+			t.Fatal(err)
+		}
+		windows := map[string]int{}
+		for i := 0; i < 3; i++ {
+			id := fmt.Sprintf("tail-%v-%d", window, i)
+			s, err := p.Attach(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range streamWorkload(i, cfg.Engine.WindowFrames, query) {
+				if err := s.Push(b); err != nil {
+					t.Fatal(err)
+				}
+				s.waitIdle()
+			}
+			s.Detach(true)
+			windows[id] = s.Stats().Windows
+		}
+		p.Close()
+		got := map[string]int{}
+		queued := map[string]bool{}
+		for _, r := range perfobs.Default.Spans(0) {
+			got[r.Stream]++
+			if r.NS["queue_wait"] > 0 {
+				queued[r.Stream] = true
+			}
+		}
+		for id, n := range windows {
+			want := 0
+			if window > 0 {
+				want = n
+			}
+			if got[id] != want {
+				t.Errorf("window budget %v, stream %s: %d spans captured, want %d", window, id, got[id], want)
+			}
+			if want > 0 && !queued[id] {
+				t.Errorf("stream %s: no captured window carries queue_wait", id)
+			}
 		}
 	}
 }

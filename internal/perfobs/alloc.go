@@ -50,7 +50,7 @@ func readAllocObjs() uint64 {
 }
 
 // AllocMark attributes the heap objects allocated since the previous mark
-// (or since Begin) to the given stage. No-op on spans that were not
+// (or since Draw) to the given stage. No-op on spans that were not
 // alloc-sampled, so kernel call sites need no gating. The counter is
 // process-wide: concurrent streams bleed into each other's deltas; at
 // single-stream load the attribution is exact.

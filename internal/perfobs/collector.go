@@ -1,5 +1,5 @@
-// The span collector: deterministic counter-based sampling, a pooled span
-// lifecycle, a bounded export ring, and the worker-invariant fold.
+// The span collector: deterministic counter-based sampling, a bounded
+// export ring with slow-window tail capture, and the worker-invariant fold.
 package perfobs
 
 import (
@@ -8,6 +8,7 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"vdsms/internal/telemetry"
 )
@@ -142,8 +143,9 @@ func record(sp *Span) SpanRecord {
 	return r
 }
 
-// Collector samples basic-window spans. One process-wide Default instance
-// is shared by every engine; tests build private collectors.
+// Collector samples basic-window spans and retains the sampled and
+// tail-captured ones for export. One process-wide Default instance is
+// shared by every engine; tests build private collectors.
 type Collector struct {
 	// every is the sampling cadence: 0 = off, N ≥ 1 = every Nth processed
 	// window (counter-based, hence deterministic for a fixed push sequence).
@@ -151,20 +153,18 @@ type Collector struct {
 	// allocEvery sub-samples alloc attribution: every Nth *sampled* span
 	// also brackets stages with allocation reads (0 = never).
 	allocEvery atomic.Int64
-	// seq counts windows offered to Begin while sampling is armed.
+	// seq counts windows offered to Draw while sampling is armed.
 	seq atomic.Int64
 	// sampledSeq counts sampled spans (drives allocEvery).
 	sampledSeq atomic.Int64
-
-	pool sync.Pool
 
 	mu   sync.Mutex
 	ring []Span // fixed capacity, overwrite-oldest
 	head int    // next write position
 	len  int
 	agg  Aggregate
-	// onSpan, when set, receives a copy of every sampled span at End (the
-	// -span-log hook). Called under mu: keep it cheap and never re-enter
+	// onSpan, when set, receives a copy of every retained span at Record
+	// (the -span-log hook). Called under mu: keep it cheap and never re-enter
 	// the collector.
 	onSpan func(SpanRecord)
 	// outliers, when set, receives (stream, window-total) observations so
@@ -187,7 +187,6 @@ func newCollector(ring int, tel bool) *Collector {
 		ring = 1
 	}
 	c := &Collector{ring: make([]Span, ring), tel: tel}
-	c.pool.New = func() any { return new(Span) }
 	for st := range c.agg.hist {
 		c.agg.hist[st] = make([]int64, len(telemetry.DurationBuckets)+1)
 	}
@@ -224,8 +223,8 @@ func (c *Collector) SetSampleFraction(f float64) {
 // SampleEvery returns the current cadence (0 = off).
 func (c *Collector) SampleEvery() int64 { return c.every.Load() }
 
-// Armed reports whether any window could be sampled — the cue for callers
-// that must pre-arm timing (the facade's front-end timer).
+// Armed reports whether any window could be sampled — the cue for front
+// ends deciding whether to time the stages they add to an engine's record.
 func (c *Collector) Armed() bool { return c.every.Load() > 0 }
 
 // SetAllocEvery sets the allocation-attribution sub-sample: every Nth
@@ -239,8 +238,8 @@ func (c *Collector) SetAllocEvery(n int64) {
 	c.allocEvery.Store(n)
 }
 
-// SetOnSpan installs the span-log hook, invoked once per sampled span with
-// its export record. Pass nil to remove.
+// SetOnSpan installs the span-log hook, invoked once per retained span
+// (sampled or tail-captured) with its export record. Pass nil to remove.
 func (c *Collector) SetOnSpan(fn func(SpanRecord)) {
 	c.mu.Lock()
 	c.onSpan = fn
@@ -255,37 +254,61 @@ func (c *Collector) SetOutliers(o *Outliers) {
 	c.mu.Unlock()
 }
 
-// Begin decides whether the next processed window is sampled. It returns a
-// pooled span to fill (stream label already set) or nil. The disabled path
-// is one atomic load.
-func (c *Collector) Begin(stream string) *Span {
+// Draw decides whether the window about to fill sp is sampled, and arms
+// allocation attribution on the drawn ones. The disabled path is one
+// atomic load.
+func (c *Collector) Draw(sp *Span) bool {
 	every := c.every.Load()
 	if every == 0 {
-		return nil
+		return false
 	}
 	if c.seq.Add(1)%every != 0 {
-		return nil
+		return false
 	}
-	sp := c.pool.Get().(*Span)
-	sp.reset()
-	sp.Stream = stream
 	if ae := c.allocEvery.Load(); ae > 0 && c.sampledSeq.Add(1)%ae == 0 {
 		c.beginAlloc(sp)
 	}
-	return sp
+	return true
 }
 
-// End folds a sampled span into the aggregate, retains a copy in the export
-// ring, publishes telemetry and returns the span to the pool. sp must come
-// from Begin; nil is ignored.
-func (c *Collector) End(sp *Span) {
-	if sp == nil {
-		return
-	}
+// Record retains a finished window's record in the export ring and hands
+// it to the span-log hook. Sampled records (sampled true, after a winning
+// Draw) are also folded into the aggregate and the slowest-stream tracker;
+// unsampled ones are tail captures — windows that blew their stream's
+// real-time budget — which stay out of the fold so its counts remain a
+// deterministic function of the frame sequence. The record is copied; the
+// caller keeps ownership of sp.
+func (c *Collector) Record(sp *Span, sampled bool) {
 	if sp.allocOn {
 		c.endAlloc(sp)
 	}
 	c.mu.Lock()
+	if sampled {
+		c.fold(sp)
+	}
+	c.ring[c.head] = *sp
+	c.head = (c.head + 1) % len(c.ring)
+	if c.len < len(c.ring) {
+		c.len++
+	}
+	if c.onSpan != nil {
+		c.onSpan(record(sp))
+	}
+	out := c.outliers
+	c.mu.Unlock()
+	if !sampled {
+		return
+	}
+	if totalNS := sp.NS[StageWindowTotal]; out != nil && totalNS > 0 {
+		out.observeSlowest(sp.Stream, totalNS)
+	}
+	if c.tel {
+		telSpansSampled.Inc()
+	}
+}
+
+// fold adds one sampled record to the aggregate. Called with mu held.
+func (c *Collector) fold(sp *Span) {
 	c.agg.Windows++
 	c.agg.RelatedSum += int64(sp.Related)
 	if sp.allocOn {
@@ -304,25 +327,6 @@ func (c *Collector) End(sp *Span) {
 		}
 		observeBucket(c.agg.hist[st], float64(ns)/1e9)
 	}
-	c.ring[c.head] = *sp
-	c.head = (c.head + 1) % len(c.ring)
-	if c.len < len(c.ring) {
-		c.len++
-	}
-	if c.onSpan != nil {
-		c.onSpan(record(sp))
-	}
-	out := c.outliers
-	totalNS := sp.NS[StageWindowTotal]
-	stream := sp.Stream
-	c.mu.Unlock()
-	if out != nil && totalNS > 0 {
-		out.observeSlowest(stream, totalNS)
-	}
-	if c.tel {
-		telSpansSampled.Inc()
-	}
-	c.pool.Put(sp)
 }
 
 // observeBucket adds one observation to a DurationBuckets count slice.
@@ -355,29 +359,34 @@ func (c *Collector) Sampled() int64 {
 
 // Spans returns up to limit retained spans as export records, oldest first
 // (limit ≤ 0 returns all retained).
-func (c *Collector) Spans(limit int) []SpanRecord {
+func (c *Collector) Spans(limit int) []SpanRecord { return c.spans(limit, 0) }
+
+// spans returns the most recent limit retained spans whose ingest total
+// (Span.Ingest) is at least minTotal, oldest first.
+func (c *Collector) spans(limit int, minTotal time.Duration) []SpanRecord {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := c.len
-	if limit > 0 && limit < n {
-		n = limit
+	// Walk newest to oldest so the limit keeps the most recent matches,
+	// then reverse into chronological order.
+	var out []SpanRecord
+	for i := 0; i < c.len && (limit <= 0 || len(out) < limit); i++ {
+		sp := &c.ring[(c.head-1-i+2*len(c.ring))%len(c.ring)]
+		if sp.Ingest() >= minTotal {
+			out = append(out, record(sp))
+		}
 	}
-	out := make([]SpanRecord, 0, n)
-	// Oldest retained span sits at head when the ring is full, else at 0;
-	// emit the most recent n in chronological order.
-	start := c.head - n
-	if start < 0 {
-		start += len(c.ring)
-	}
-	for i := 0; i < n; i++ {
-		out = append(out, record(&c.ring[(start+i)%len(c.ring)]))
+	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
+		out[i], out[j] = out[j], out[i]
 	}
 	return out
 }
 
-// WriteSpans writes up to limit retained spans as JSON lines, oldest first.
-func (c *Collector) WriteSpans(w io.Writer, limit int) error {
-	for _, r := range c.Spans(limit) {
+// WriteSpans writes up to limit retained spans whose ingest total is at
+// least minTotal as JSON lines, oldest first (minTotal 0 writes every
+// retained span; a window's real-time budget as minTotal selects the
+// tail-captured slow windows).
+func (c *Collector) WriteSpans(w io.Writer, limit int, minTotal time.Duration) error {
+	for _, r := range c.spans(limit, minTotal) {
 		b, err := json.Marshal(r)
 		if err != nil {
 			return err

@@ -6,12 +6,14 @@
 // It is built from four pieces, all stdlib-only and layered on
 // internal/telemetry:
 //
-//   - Span records. Every sampled basic window carries one pooled Span
-//     through the pipeline: front-end decode/extract, the kernel stages
-//     (sketch, probe, combine, merge), the fleet's queue-wait and
-//     worker-pin hop, and the window total. Spans are folded into a
-//     worker-invariant Aggregate and exported as JSON lines through
-//     /debug/spans and the CLIs' -span-log flag.
+//   - Span records. Every timed basic window fills one Span owned by its
+//     engine: front-end decode/extract, the kernel stages (sketch, probe,
+//     combine, merge), the fleet's queue-wait and worker-pin hop, and the
+//     window total. The same record feeds the stage histograms and the
+//     overload controller; sampled windows are folded into a
+//     worker-invariant Aggregate, and sampled or over-budget (tail-captured)
+//     windows are exported as JSON lines through /debug/spans and the CLIs'
+//     -span-log flag.
 //
 //   - Allocation and GC attribution. A configurable sub-sample of spans
 //     additionally brackets each kernel stage with runtime/metrics
@@ -28,12 +30,12 @@
 //     and heap profiles into a bounded ring of files so a production
 //     incident always has a recent profile on disk; see profiler.go.
 //
-// Hot-path contract: with sampling disabled (the default), the only cost a
-// window pays is one atomic load in Collector.Begin — no clock reads, no
-// allocations, no locks. Sampled windows draw their Span from a sync.Pool
-// and fold it back under one short mutex, so steady-state sampling
-// allocates nothing either (JSON rendering happens at export time, on the
-// reader's goroutine).
+// Hot-path contract: with sampling disabled (the default), the only cost
+// the sampler adds to a window is one atomic load in Collector.Draw — no
+// clock reads, no allocations, no locks. The per-window record is owned by
+// the engine that fills it and copied into the export ring under one short
+// mutex, so steady-state sampling allocates nothing either (JSON rendering
+// happens at export time, on the reader's goroutine).
 package perfobs
 
 import "time"
@@ -84,10 +86,11 @@ func (s Stage) String() string {
 	return "unknown"
 }
 
-// Span is the per-window record carried through the pipeline for sampled
-// windows. Spans are pooled: obtain one from Collector.Begin (nil when the
-// window is not sampled) and return it with Collector.End — never retain a
-// Span after End.
+// Span is the one per-window observation record. Each engine owns one and
+// refills it for every timed window: out-of-kernel stages (front-end
+// decode/extract, fleet queue-wait/worker-hop) are added into it between
+// windows, the kernel fills the rest, and the engine hands the finished
+// record to every sink before clearing it for the next window.
 type Span struct {
 	// Stream is the owning stream's label (fleet stream id, facade stream
 	// name, or "" for an anonymous engine).
@@ -123,13 +126,20 @@ type Span struct {
 	beginAlloc    uint64
 }
 
-// SetNS records one stage's duration in nanoseconds.
-func (sp *Span) SetNS(st Stage, ns int64) { sp.NS[st] = ns }
-
 // Set records one stage's duration.
 func (sp *Span) Set(st Stage, d time.Duration) { sp.NS[st] = d.Nanoseconds() }
 
-// reset clears a span for reuse, keeping nothing from the previous window.
-func (sp *Span) reset() {
-	*sp = Span{}
+// Add accumulates d into one stage. Nil-safe, so callers staging
+// out-of-kernel stages need no gating beyond obtaining the record.
+func (sp *Span) Add(st Stage, d time.Duration) {
+	if sp != nil {
+		sp.NS[st] += d.Nanoseconds()
+	}
+}
+
+// Ingest is the window's full ingest latency: front-end decode and extract
+// plus the kernel's window total — what the overload controller and tail
+// capture compare against the stream's real-time budget.
+func (sp *Span) Ingest() time.Duration {
+	return time.Duration(sp.NS[StageDecode] + sp.NS[StageExtract] + sp.NS[StageWindowTotal])
 }

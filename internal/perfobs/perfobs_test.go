@@ -33,15 +33,27 @@ func TestStageString(t *testing.T) {
 	}
 }
 
+// window runs one window's record lifecycle against c the way an engine
+// does — draw, fill, record when sampled — and reports whether it was
+// sampled.
+func window(c *Collector, stream string, fill func(*Span)) bool {
+	var sp Span
+	if !c.Draw(&sp) {
+		return false
+	}
+	sp.Stream = stream
+	fill(&sp)
+	c.Record(&sp, true)
+	return true
+}
+
 func TestSamplingCadence(t *testing.T) {
 	c := NewCollector(16)
 	c.SetSampleEvery(3)
 	var sampled int
 	for i := 0; i < 30; i++ {
-		if sp := c.Begin("s"); sp != nil {
+		if window(c, "s", func(sp *Span) { sp.Set(StageWindowTotal, 100) }) {
 			sampled++
-			sp.SetNS(StageWindowTotal, 100)
-			c.End(sp)
 		}
 	}
 	if sampled != 10 {
@@ -71,32 +83,31 @@ func TestSampleFractionMapping(t *testing.T) {
 func TestDisabledBeginIsNilAndAllocFree(t *testing.T) {
 	c := NewCollector(16)
 	c.SetSampleEvery(0)
-	if sp := c.Begin("s"); sp != nil {
-		t.Fatal("Begin with sampling off returned a span")
+	var sp Span
+	if c.Draw(&sp) {
+		t.Fatal("Draw with sampling off sampled a window")
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		if sp := c.Begin("s"); sp != nil {
-			c.End(sp)
+		if c.Draw(&sp) {
+			c.Record(&sp, true)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("disabled Begin allocates %v objects/op, want 0", allocs)
+		t.Fatalf("disabled Draw allocates %v objects/op, want 0", allocs)
 	}
 }
 
 func TestSampledSteadyStateAllocFree(t *testing.T) {
 	c := NewCollector(16)
 	c.SetSampleEvery(1)
-	// Warm the pool, then verify steady-state sampling allocates nothing.
-	for i := 0; i < 8; i++ {
-		sp := c.Begin("warm")
-		sp.SetNS(StageWindowTotal, 1)
-		c.End(sp)
-	}
+	// The record is caller-owned and copied into the ring, so sampling a
+	// window allocates nothing.
+	var sp Span
 	allocs := testing.AllocsPerRun(1000, func() {
-		sp := c.Begin("warm")
-		sp.SetNS(StageWindowTotal, 1)
-		c.End(sp)
+		if c.Draw(&sp) {
+			sp.Set(StageWindowTotal, 1)
+			c.Record(&sp, true)
+		}
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state sampled window allocates %v objects/op, want 0", allocs)
@@ -107,11 +118,11 @@ func TestAggregateFold(t *testing.T) {
 	c := NewCollector(16)
 	c.SetSampleEvery(1)
 	for i := 1; i <= 4; i++ {
-		sp := c.Begin("s")
-		sp.Set(StageSketch, time.Duration(i)*time.Millisecond)
-		sp.Set(StageWindowTotal, time.Duration(2*i)*time.Millisecond)
-		sp.Related = i
-		c.End(sp)
+		window(c, "s", func(sp *Span) {
+			sp.Set(StageSketch, time.Duration(i)*time.Millisecond)
+			sp.Set(StageWindowTotal, time.Duration(2*i)*time.Millisecond)
+			sp.Related = i
+		})
 	}
 	a := c.Aggregate()
 	if a.Windows != 4 || a.RelatedSum != 10 {
@@ -144,10 +155,10 @@ func TestSpanRingOrderAndLimit(t *testing.T) {
 	c := NewCollector(4)
 	c.SetSampleEvery(1)
 	for i := 1; i <= 7; i++ {
-		sp := c.Begin("s")
-		sp.Window = int64(i)
-		sp.SetNS(StageWindowTotal, int64(i))
-		c.End(sp)
+		window(c, "s", func(sp *Span) {
+			sp.Window = int64(i)
+			sp.Set(StageWindowTotal, time.Duration(i))
+		})
 	}
 	got := c.Spans(0)
 	if len(got) != 4 {
@@ -166,19 +177,19 @@ func TestSpanRingOrderAndLimit(t *testing.T) {
 func TestWriteSpansJSONLines(t *testing.T) {
 	c := NewCollector(8)
 	c.SetSampleEvery(1)
-	sp := c.Begin("cam-1")
-	sp.Window = 42
-	sp.StartFrame = 10
-	sp.EndFrame = 19
-	sp.Related = 3
-	sp.Workers = 2
-	sp.Plane = 7
-	sp.Set(StageSketch, time.Millisecond)
-	sp.Set(StageWindowTotal, 2*time.Millisecond)
-	c.End(sp)
+	window(c, "cam-1", func(sp *Span) {
+		sp.Window = 42
+		sp.StartFrame = 10
+		sp.EndFrame = 19
+		sp.Related = 3
+		sp.Workers = 2
+		sp.Plane = 7
+		sp.Set(StageSketch, time.Millisecond)
+		sp.Set(StageWindowTotal, 2*time.Millisecond)
+	})
 
 	var buf bytes.Buffer
-	if err := c.WriteSpans(&buf, 0); err != nil {
+	if err := c.WriteSpans(&buf, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	sc := bufio.NewScanner(&buf)
@@ -210,13 +221,54 @@ func TestOnSpanHook(t *testing.T) {
 	var seen []SpanRecord
 	c.SetOnSpan(func(r SpanRecord) { seen = append(seen, r) })
 	for i := 0; i < 6; i++ {
-		if sp := c.Begin("s"); sp != nil {
-			sp.SetNS(StageWindowTotal, 5)
-			c.End(sp)
-		}
+		window(c, "s", func(sp *Span) { sp.Set(StageWindowTotal, 5) })
 	}
 	if len(seen) != 3 {
 		t.Fatalf("hook saw %d spans, want 3", len(seen))
+	}
+}
+
+// TestTailCaptureRetainsWithoutFolding: an unsampled record handed to
+// Record (a window over its real-time budget) lands in the ring and the
+// span log but stays out of the deterministic fold and the outlier
+// tracker; min_total filtering keeps the most recent qualifying windows.
+func TestTailCaptureRetainsWithoutFolding(t *testing.T) {
+	c := NewCollector(8)
+	o := NewOutliers(4)
+	c.SetOutliers(o)
+	var logged int
+	c.SetOnSpan(func(SpanRecord) { logged++ })
+	for i := 1; i <= 5; i++ {
+		sp := Span{Stream: "tail", Window: int64(i)}
+		sp.Set(StageDecode, time.Duration(i)*time.Millisecond)
+		sp.Set(StageWindowTotal, time.Duration(i)*time.Millisecond)
+		c.Record(&sp, false)
+	}
+	if got := c.Spans(0); len(got) != 5 || logged != 5 {
+		t.Fatalf("ring holds %d, hook saw %d; want 5/5", len(got), logged)
+	}
+	if a := c.Aggregate(); a.Windows != 0 || c.Sampled() != 0 {
+		t.Fatalf("tail captures folded into the aggregate: %+v", a.Counts())
+	}
+	if items := o.Slowest.Items(0); len(items) != 0 {
+		t.Fatalf("tail captures fed the outlier tracker: %+v", items)
+	}
+	// Ingest totals are 2,4,6,8,10 ms: ≥ 6ms keeps windows 3..5, and the
+	// limit keeps the most recent of those.
+	var buf bytes.Buffer
+	if err := c.WriteSpans(&buf, 2, 6*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	var windows []int64
+	for sc := bufio.NewScanner(&buf); sc.Scan(); {
+		var r SpanRecord
+		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
+			t.Fatal(err)
+		}
+		windows = append(windows, r.Window)
+	}
+	if len(windows) != 2 || windows[0] != 4 || windows[1] != 5 {
+		t.Fatalf("min_total=6ms limit=2 windows = %v, want [4 5]", windows)
 	}
 }
 
@@ -224,8 +276,8 @@ func TestAllocAttribution(t *testing.T) {
 	c := NewCollector(8)
 	c.SetSampleEvery(1)
 	c.SetAllocEvery(1)
-	sp := c.Begin("s")
-	if sp == nil || !sp.AllocSampled() {
+	var sp Span
+	if !c.Draw(&sp) || !sp.AllocSampled() {
 		t.Fatal("span not alloc-sampled with allocEvery=1")
 	}
 	sink := make([]*int, 0, 1024)
@@ -239,8 +291,8 @@ func TestAllocAttribution(t *testing.T) {
 	runtime.GC()
 	sp.AllocMark(StageSketch)
 	_ = sink
-	sp.SetNS(StageWindowTotal, 1)
-	c.End(sp)
+	sp.Set(StageWindowTotal, 1)
+	c.Record(&sp, true)
 	a := c.Aggregate()
 	if a.AllocSampled != 1 {
 		t.Fatalf("AllocSampled = %d", a.AllocSampled)
@@ -258,9 +310,7 @@ func TestAllocAttribution(t *testing.T) {
 func TestResetClearsEverything(t *testing.T) {
 	c := NewCollector(8)
 	c.SetSampleEvery(1)
-	sp := c.Begin("s")
-	sp.SetNS(StageWindowTotal, 9)
-	c.End(sp)
+	window(c, "s", func(sp *Span) { sp.Set(StageWindowTotal, 9) })
 	c.Reset()
 	if c.Sampled() != 0 || len(c.Spans(0)) != 0 {
 		t.Fatal("Reset left state behind")
@@ -359,9 +409,7 @@ func TestCollectorFeedsOutliers(t *testing.T) {
 	o := NewOutliers(4)
 	c.SetOutliers(o)
 	c.SetSampleEvery(1)
-	sp := c.Begin("slow-stream")
-	sp.SetNS(StageWindowTotal, 123456)
-	c.End(sp)
+	window(c, "slow-stream", func(sp *Span) { sp.Set(StageWindowTotal, 123456) })
 	items := o.Slowest.Items(0)
 	if len(items) != 1 || items[0].Key != "slow-stream" || items[0].Count != 123456 {
 		t.Fatalf("slowest = %+v", items)

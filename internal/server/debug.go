@@ -3,22 +3,16 @@
 //	GET  /debug/events                → journaled candidate-lifecycle events
 //	GET  /debug/matches               → retained match provenance records
 //	GET  /debug/matches/{id}          → one match's explain record
-//	GET  /debug/slow-window           → the live slow-window budget
-//	POST /debug/slow-window           → retune the budget, no restart
 //
 // Events and records come from the process-wide trace journal; they are
 // non-empty only when the service was started with tracing armed
-// (vcdserve -trace-events / -audit-fraction). The endpoints are read-only
-// except /debug/slow-window, which adjusts an observability threshold —
-// never detection semantics.
+// (vcdserve -trace-events / -audit-fraction). The endpoints are read-only.
 package server
 
 import (
-	"encoding/json"
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
 	"vdsms/internal/trace"
 )
@@ -115,53 +109,4 @@ func (s *Server) handleDebugMatches(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, rec)
-}
-
-// slowWindowRequest is the POST /debug/slow-window body: a Go duration
-// string ("250ms", "2s"), "0" or "off" to disable.
-type slowWindowRequest struct {
-	Budget string `json:"budget"`
-}
-
-// handleSlowWindow reads (GET) or retunes (POST) the slow-window budget of
-// the service's detector lineage. The new value reaches every live stream
-// engine at its next basic window — no restart, no stream interruption.
-func (s *Server) handleSlowWindow(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		s.writeSlowWindow(w)
-	case http.MethodPost:
-		var req slowWindowRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, "body must be JSON: {\"budget\": \"250ms\"}", http.StatusBadRequest)
-			return
-		}
-		var budget time.Duration
-		switch req.Budget {
-		case "", "off", "0":
-			budget = 0
-		default:
-			d, err := time.ParseDuration(req.Budget)
-			if err != nil || d < 0 {
-				http.Error(w, "budget must be a non-negative Go duration, \"off\" or \"0\"",
-					http.StatusBadRequest)
-				return
-			}
-			budget = d
-		}
-		s.root.SetSlowWindow(budget)
-		s.writeSlowWindow(w)
-	default:
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-	}
-}
-
-// writeSlowWindow reports the live budget (shared across all streams).
-func (s *Server) writeSlowWindow(w http.ResponseWriter) {
-	b := s.root.SlowWindowBudget()
-	writeJSON(w, map[string]any{
-		"slowWindow":        b.String(),
-		"slowWindowSeconds": b.Seconds(),
-		"enabled":           b > 0,
-	})
 }

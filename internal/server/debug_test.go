@@ -168,53 +168,3 @@ func TestDebugUntracedServer(t *testing.T) {
 		t.Error("untraced server claims tracing")
 	}
 }
-
-func TestSlowWindowEndpoint(t *testing.T) {
-	_, ts := testServer(t)
-	post := func(body string) (*http.Response, map[string]any) {
-		t.Helper()
-		resp := do(t, http.MethodPost, ts.URL+"/debug/slow-window", []byte(body))
-		var out map[string]any
-		if resp.StatusCode == http.StatusOK {
-			json.NewDecoder(resp.Body).Decode(&out)
-		}
-		resp.Body.Close()
-		return resp, out
-	}
-
-	resp, out := post(`{"budget": "250ms"}`)
-	if resp.StatusCode != 200 || out["slowWindow"] != "250ms" || out["enabled"] != true {
-		t.Fatalf("POST 250ms: %d %v", resp.StatusCode, out)
-	}
-
-	// The live value shows up in /stats and survives a GET.
-	var stats map[string]any
-	if code := getJSON(t, ts.URL+"/stats", &stats); code != 200 {
-		t.Fatalf("GET /stats: %d", code)
-	}
-	if stats["slowWindow"] != "250ms" {
-		t.Errorf("/stats slowWindow = %v", stats["slowWindow"])
-	}
-	var got map[string]any
-	if code := getJSON(t, ts.URL+"/debug/slow-window", &got); code != 200 || got["slowWindow"] != "250ms" {
-		t.Errorf("GET after POST: %d %v", code, got)
-	}
-
-	// "off" disables; bad bodies are rejected without changing the budget.
-	if _, out := post(`{"budget": "off"}`); out["enabled"] != false {
-		t.Errorf("POST off: %v", out)
-	}
-	for _, body := range []string{"not json", `{"budget": "-5ms"}`, `{"budget": "fast"}`} {
-		if resp, _ := post(body); resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("POST %q: %d, want 400", body, resp.StatusCode)
-		}
-	}
-	if _, got := post(`{"budget": "0"}`); got == nil {
-		t.Error("POST 0 rejected")
-	}
-	resp = do(t, http.MethodDelete, ts.URL+"/debug/slow-window", nil)
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("DELETE: %d, want 405", resp.StatusCode)
-	}
-	resp.Body.Close()
-}

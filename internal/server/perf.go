@@ -6,18 +6,23 @@ import (
 	"encoding/json"
 	"net/http"
 	"strconv"
+	"time"
 
 	"vdsms/internal/perfobs"
 )
 
-// handleDebugSpans exports the sampled span ring (GET, oldest first, one
-// JSON object per line; ?limit=N caps the count) and retunes span sampling
-// live (POST {"sampleEvery": N} — 0 disables, 1 samples every window).
+// handleDebugSpans exports the span ring — sampled windows plus the
+// tail-captured ones that blew their stream's real-time budget — (GET,
+// oldest first, one JSON object per line; ?limit=N caps the count,
+// ?min_total=<duration> keeps only windows whose ingest total, decode +
+// extract + window_total, reached it) and retunes span sampling live
+// (POST {"sampleEvery": N} — 0 disables, 1 samples every window).
 func (s *Server) handleDebugSpans(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
+		q := r.URL.Query()
 		limit := 0
-		if v := r.URL.Query().Get("limit"); v != "" {
+		if v := q.Get("limit"); v != "" {
 			n, err := strconv.Atoi(v)
 			if err != nil || n < 0 {
 				http.Error(w, "limit must be a non-negative integer", http.StatusBadRequest)
@@ -25,8 +30,17 @@ func (s *Server) handleDebugSpans(w http.ResponseWriter, r *http.Request) {
 			}
 			limit = n
 		}
+		var minTotal time.Duration
+		if v := q.Get("min_total"); v != "" {
+			d, err := time.ParseDuration(v)
+			if err != nil || d < 0 {
+				http.Error(w, "min_total must be a non-negative Go duration (e.g. 250ms)", http.StatusBadRequest)
+				return
+			}
+			minTotal = d
+		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		if err := perfobs.Default.WriteSpans(w, limit); err != nil {
+		if err := perfobs.Default.WriteSpans(w, limit, minTotal); err != nil {
 			// Headers already sent; the connection is the error signal.
 			return
 		}

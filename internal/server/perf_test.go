@@ -94,6 +94,66 @@ func TestDebugSpansEndpoint(t *testing.T) {
 	}
 }
 
+// TestDebugSpansMinTotal: slow windows are read off the span ring with a
+// min_total filter on the ingest total; the retired slow-window endpoint
+// and /stats field are gone.
+func TestDebugSpansMinTotal(t *testing.T) {
+	resetPerf(t)
+	_, ts := testServer(t)
+	perfobs.Default.SetSampleEvery(1)
+	do(t, http.MethodPut, ts.URL+"/queries/1", clip(t, 1, 12)).Body.Close()
+	streamAndParse(t, ts, "min-total", clip(t, 402, 30))
+
+	count := func(query string) int {
+		t.Helper()
+		resp := do(t, http.MethodGet, ts.URL+"/debug/spans"+query, nil)
+		defer resp.Body.Close()
+		if resp.StatusCode != 200 {
+			t.Fatalf("GET /debug/spans%s: %d", query, resp.StatusCode)
+		}
+		n := 0
+		for sc := bufio.NewScanner(resp.Body); sc.Scan(); n++ {
+		}
+		return n
+	}
+	all := count("")
+	if all == 0 {
+		t.Fatal("no spans retained at 100% sampling")
+	}
+	if got := count("?min_total=0s"); got != all {
+		t.Errorf("min_total=0s kept %d of %d spans", got, all)
+	}
+	if got := count("?min_total=1h"); got != 0 {
+		t.Errorf("min_total=1h kept %d spans, want 0", got)
+	}
+	if got := count("?min_total=1ns&limit=2"); got != 2 {
+		t.Errorf("min_total=1ns&limit=2 kept %d spans, want 2", got)
+	}
+
+	for _, tc := range []struct {
+		method, url string
+		want        int
+	}{
+		{http.MethodGet, "/debug/spans?min_total=fast", http.StatusBadRequest},
+		{http.MethodGet, "/debug/spans?min_total=-5ms", http.StatusBadRequest},
+		{http.MethodGet, "/debug/slow-window", http.StatusNotFound},
+		{http.MethodPost, "/debug/slow-window", http.StatusNotFound},
+	} {
+		resp := do(t, tc.method, ts.URL+tc.url, nil)
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s %s: %d, want %d", tc.method, tc.url, resp.StatusCode, tc.want)
+		}
+		resp.Body.Close()
+	}
+	var stats map[string]any
+	if code := getJSON(t, ts.URL+"/stats", &stats); code != 200 {
+		t.Fatalf("GET /stats: %d", code)
+	}
+	if _, ok := stats["slowWindow"]; ok {
+		t.Error("/stats still reports slowWindow")
+	}
+}
+
 func TestFleetTopEndpoint(t *testing.T) {
 	resetPerf(t)
 	_, ts := testServer(t)

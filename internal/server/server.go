@@ -21,9 +21,8 @@
 //	POST   /snapshot                           → checkpoint service state now
 //	GET    /debug/events                       → candidate-lifecycle event journal (filterable)
 //	GET    /debug/matches[/{id}]               → match provenance (explain) records
-//	GET/POST /debug/slow-window                → read / retune the slow-window budget live
-//	GET/POST /debug/spans                      → sampled per-window span records (NDJSON) /
-//	                                             retune span sampling live
+//	GET/POST /debug/spans                      → sampled and slow-window span records (NDJSON,
+//	                                             ?min_total= filter) / retune span sampling live
 //	GET    /debug/fleet/top                    → slowest / most-shed / most-backpressured
 //	                                             streams (bounded top-K)
 //	/debug/pprof/*                             → profiling (opt-in via Options.EnablePprof)
@@ -198,7 +197,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/debug/events", s.handleDebugEvents)
 	mux.HandleFunc("/debug/matches", s.handleDebugMatches)
 	mux.HandleFunc("/debug/matches/", s.handleDebugMatches)
-	mux.HandleFunc("/debug/slow-window", s.handleSlowWindow)
 	mux.HandleFunc("/debug/spans", s.handleDebugSpans)
 	mux.HandleFunc("/debug/fleet/top", s.handleFleetTop)
 	if s.pprof {
@@ -450,7 +448,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"shardCompared":  compared,
 		"checkpointing":  s.root.CheckpointingEnabled(),
 		"tracing":        s.root.Tracing(),
-		"slowWindow":     s.root.SlowWindowBudget().String(),
 		"fleet": map[string]any{
 			"streams":      s.fleet.Len(),
 			"planeBytes":   s.fleet.PlaneBytes(),

@@ -56,13 +56,22 @@ func StartProfiler(dir string, every time.Duration, keep int) (*perfobs.Profiler
 }
 
 // armPerf points eng at the process span collector under this detector's
-// stream label. Called from every engine construction site, after armTrace
-// (which resolves the stream name).
+// stream label, with one basic window of stream time as the real-time
+// budget above which a window is tail-captured (a live controller's budget
+// overrides it). Called from adopt, after armTrace (which resolves the
+// stream name).
 func (d *Detector) armPerf(eng *core.Engine) {
 	label := d.StreamName()
 	if label == "" {
 		label = d.cfg.StreamName
 	}
 	d.perfLabel = label
-	eng.SetPerf(perfobs.Default, label)
+	eng.SetPerf(perfobs.Default, label, d.cfg.window())
+}
+
+// window is the stream duration of one basic window — the real-time
+// budget a window's processing must stay within to keep up with live
+// input.
+func (cfg Config) window() time.Duration {
+	return time.Duration(cfg.WindowSec * float64(time.Second))
 }

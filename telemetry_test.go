@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"vdsms/internal/perfobs"
 	"vdsms/internal/telemetry"
 )
 
@@ -172,12 +173,38 @@ func TestWALTelemetryObserved(t *testing.T) {
 	}
 }
 
-// TestSlowWindowTracerFacade arms the tracer through Config.SlowWindow
-// with an impossible budget, so every basic window of a monitored stream
-// traces with stream-time positions.
-func TestSlowWindowTracerFacade(t *testing.T) {
+// useSpans resets the process-wide span collector, sets its sampling
+// cadence for the test and restores the defaults afterwards.
+func useSpans(t *testing.T, every int64) {
+	t.Helper()
+	perfobs.Default.Reset()
+	perfobs.Default.SetSampleEvery(every)
+	t.Cleanup(func() {
+		perfobs.Default.SetSampleEvery(0)
+		perfobs.Default.Reset()
+	})
+}
+
+// streamSpans returns the retained span records of one stream label.
+func streamSpans(stream string) []perfobs.SpanRecord {
+	var out []perfobs.SpanRecord
+	for _, r := range perfobs.Default.Spans(0) {
+		if r.Stream == stream {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// TestTailCaptureFacade arms an observe-only controller with an
+// impossible budget and span sampling off: every basic window of a
+// monitored stream must be tail-captured into the span ring with its full
+// ingest breakdown and counted in vcd_slow_windows_total.
+func TestTailCaptureFacade(t *testing.T) {
+	useSpans(t, 0)
 	cfg := testConfig()
-	cfg.SlowWindow = time.Nanosecond
+	cfg.RealTimeBudget = time.Nanosecond
+	cfg.StreamName = "tail-facade"
 	det, err := NewDetector(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -185,51 +212,122 @@ func TestSlowWindowTracerFacade(t *testing.T) {
 	if err := det.AddQuery(1, bytes.NewReader(clip(t, 74, 10))); err != nil {
 		t.Fatal(err)
 	}
-	var traces []SlowWindowTrace
-	det.OnSlowWindow = func(tr SlowWindowTrace) { traces = append(traces, tr) }
-	slowBefore := telSlowWindows.Value()
+	before := scrapeDefault(t)
 	if _, err := det.Monitor(bytes.NewReader(clip(t, 814, 30))); err != nil {
 		t.Fatal(err)
 	}
-	if len(traces) == 0 {
-		t.Fatal("1 ns budget traced no windows")
+	after := scrapeDefault(t)
+	windows := det.Stats().Windows
+	spans := streamSpans(cfg.StreamName)
+	if windows == 0 || len(spans) != windows {
+		t.Fatalf("%d windows tail-captured of %d", len(spans), windows)
 	}
-	if got := telSlowWindows.Value() - slowBefore; got != int64(len(traces)) {
-		t.Errorf("vcd_slow_windows_total moved by %d, want %d", got, len(traces))
+	a, _ := after.Value("vcd_slow_windows_total")
+	b, _ := before.Value("vcd_slow_windows_total")
+	if got := int(a - b); got != windows {
+		t.Errorf("vcd_slow_windows_total moved by %d, want %d", got, windows)
 	}
-	for _, tr := range traces {
-		if tr.Budget != time.Nanosecond || tr.Total <= 0 || tr.EndFrame <= tr.StartFrame {
-			t.Fatalf("malformed trace %+v", tr)
+	for i, r := range spans {
+		for _, st := range []string{"decode", "extract", "sketch", "probe", "combine", "merge", "window_total"} {
+			if r.NS[st] <= 0 {
+				t.Fatalf("span %d: stage %s = %d, want > 0 (%v)", i, st, r.NS[st], r.NS)
+			}
+		}
+		if r.EndFrame <= r.StartFrame {
+			t.Fatalf("span %d: frames [%d,%d)", i, r.StartFrame, r.EndFrame)
+		}
+	}
+	if n := perfobs.Default.Sampled(); n != 0 {
+		t.Errorf("tail captures folded as %d sampled spans", n)
+	}
+}
+
+// TestTailCaptureFollowsRealTimeBudget: the tail-capture threshold is the
+// lineage's live real-time budget — an hour captures nothing, and a
+// runtime SetRealTimeBudget reaches every stream of the lineage at its
+// next window.
+func TestTailCaptureFollowsRealTimeBudget(t *testing.T) {
+	useSpans(t, 0)
+	cfg := testConfig()
+	cfg.RealTimeBudget = time.Hour
+	cfg.StreamName = "tail-budget"
+	det, err := NewDetector(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sib, err := det.NewStreamNamed("tail-budget-sibling")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := det.Monitor(bytes.NewReader(clip(t, 815, 20))); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(perfobs.Default.Spans(0)); n != 0 {
+		t.Fatalf("%d windows captured under an hour budget", n)
+	}
+	det.SetRealTimeBudget(time.Nanosecond)
+	for _, d := range []*Detector{det, sib} {
+		before := d.Stats().Windows
+		if _, err := d.Monitor(bytes.NewReader(clip(t, 816, 20))); err != nil {
+			t.Fatal(err)
+		}
+		want := d.Stats().Windows - before
+		if got := len(streamSpans(d.perfLabel)); got != want {
+			t.Errorf("stream %q: %d windows captured after retune to 1ns, want %d", d.perfLabel, got, want)
 		}
 	}
 }
 
-// TestSlowWindowBudgetResolution pins the Config/environment precedence of
-// the tracer threshold.
-func TestSlowWindowBudgetResolution(t *testing.T) {
-	base := testConfig() // WindowSec = 5
-	cases := []struct {
-		name string
-		cfg  time.Duration
-		env  string
-		want time.Duration
+// TestControllerFeedMatchesSpans pins the one-record contract for the
+// overload controller: with every window sampled and an observe-only
+// controller that never changes level, the controller's steady mean ×
+// window count equals the sum over spans of decode + extract +
+// window_total, for a whole-stream Monitor and for a run of 3-frame
+// segment Monitor calls alike (within RunMean's 1ns/window rounding).
+func TestControllerFeedMatchesSpans(t *testing.T) {
+	useSpans(t, 1)
+	for _, tc := range []struct {
+		name     string
+		segments [][]byte
 	}{
-		{"default off", 0, "", 0},
-		{"env off", 0, "off", 0},
-		{"env zero", 0, "0", 0},
-		{"env duration", 0, "250ms", 250 * time.Millisecond},
-		{"env budget", 0, "budget", 5 * time.Second},
-		{"env garbage", 0, "shrug", 0},
-		{"config wins", time.Second, "250ms", time.Second},
-		{"config disables env", -1, "250ms", 0},
-	}
-	for _, tc := range cases {
+		{"whole", [][]byte{clip(t, 817, 30)}},
+		{"segments", [][]byte{clip(t, 818, 1.5), clip(t, 819, 1.5), clip(t, 820, 1.5), clip(t, 821, 1.5)}},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			t.Setenv(SlowWindowEnv, tc.env)
-			cfg := base
-			cfg.SlowWindow = tc.cfg
-			if got := cfg.slowWindowBudget(); got != tc.want {
-				t.Errorf("slowWindowBudget() = %v, want %v", got, tc.want)
+			cfg := testConfig()
+			cfg.RealTimeBudget = time.Hour
+			cfg.StreamName = "ctl-feed-" + tc.name
+			det, err := NewDetector(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := det.AddQuery(1, bytes.NewReader(clip(t, 76, 10))); err != nil {
+				t.Fatal(err)
+			}
+			for _, seg := range tc.segments {
+				if _, err := det.Monitor(bytes.NewReader(seg)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var sum time.Duration
+			spans := streamSpans(cfg.StreamName)
+			for _, r := range spans {
+				sum += time.Duration(r.NS["decode"] + r.NS["extract"] + r.NS["window_total"])
+			}
+			o := det.Overload()
+			if o.Level != 0 || o.Transitions != 0 {
+				t.Fatalf("controller moved under an hour budget: %+v", o)
+			}
+			if int(o.RunWindows) != len(spans) || len(spans) != det.Stats().Windows {
+				t.Fatalf("controller saw %d windows, %d spans, engine %d", o.RunWindows, len(spans), det.Stats().Windows)
+			}
+			diff := o.RunMean*time.Duration(o.RunWindows) - sum
+			if diff < 0 {
+				diff = -diff
+			}
+			if diff > time.Duration(o.RunWindows) {
+				t.Errorf("controller total %v (RunMean %v × %d) vs span total %v: off by %v",
+					o.RunMean*time.Duration(o.RunWindows), o.RunMean, o.RunWindows, sum, diff)
 			}
 		})
 	}

@@ -99,15 +99,6 @@ type Config struct {
 	// churn and explicit Checkpoint calls, and recovery replays the WAL
 	// from the last such point.
 	CheckpointEvery time.Duration
-	// SlowWindow arms the slow-window tracer: any basic window whose
-	// processing exceeds this budget is reported with a per-stage latency
-	// breakdown (via OnSlowWindow when set, else as one log line). Zero
-	// defers to the TELEMETRY_SLOW_WINDOW environment variable; negative
-	// disables tracing even when the variable is set. The natural budget
-	// for live input is WindowSec — pass TELEMETRY_SLOW_WINDOW=budget for
-	// exactly that. The budget is runtime-adjustable after construction via
-	// Detector.SetSlowWindow (and POST /debug/slow-window on the server).
-	SlowWindow time.Duration
 	// TraceEvents arms decision-provenance tracing: candidate-lifecycle
 	// events (born, extended, pruned, dropped, expired, reported, near_miss)
 	// are journaled in a bounded process-wide ring of this many events, and
@@ -187,12 +178,6 @@ type Detector struct {
 	// (starting at the nearest retained I-frame before the match). The
 	// clip is only as long as the retention window allows.
 	OnMatchClip func(Match, []byte)
-	// OnSlowWindow, when set together with an armed slow-window budget
-	// (Config.SlowWindow or TELEMETRY_SLOW_WINDOW), receives the per-stage
-	// breakdown of every basic window that exceeded it, replacing the
-	// default log line. Set before monitoring.
-	OnSlowWindow func(SlowWindowTrace)
-
 	// Replayed holds the matches re-derived from the WAL tail by Resume.
 	// They were (at least partially) delivered by the crashed run already —
 	// recovery is at-least-once for the frames after the last checkpoint —
@@ -200,19 +185,14 @@ type Detector struct {
 	Replayed []Match
 
 	// Decision-provenance state (see trace.go): the journal recorder when
-	// tracing is armed, and the runtime-adjustable slow-window budget shared
-	// by every engine of this detector's lineage.
-	tracer  *trace.Recorder
-	slowVar *core.SlowBudget
+	// tracing is armed.
+	tracer *trace.Recorder
 
 	// Adaptive-ingest state (see degrade.go): the overload controller is
-	// shared across the lineage like slowVar; ovl holds this stream's
-	// sampler, motion scorer and damage counters; fe points at the active
-	// Monitor call's front-end timer so the controller sees full ingest
-	// latency, not just the kernel's.
+	// shared across the lineage; ovl holds this stream's sampler, motion
+	// scorer and damage counters.
 	ctl *degrade.Controller
 	ovl *ovlState
-	fe  *frontEndTimer
 
 	// perfLabel is the stream label this detector's spans and outlier
 	// observations carry (resolved by armPerf from the trace stream name).
@@ -281,12 +261,8 @@ func NewDetector(cfg Config) (*Detector, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Detector{cfg: cfg, pipeline: pipeline{ex: ex, pt: pt}, engine: eng, winKeyF: winKeyF}
-	eng.OnMatch = d.forward
-	d.armSlowWindow(eng)
-	d.armTrace(eng)
-	d.armOverload(eng)
-	d.armPerf(eng)
+	d := &Detector{cfg: cfg, pipeline: pipeline{ex: ex, pt: pt}, winKeyF: winKeyF}
+	d.adopt(eng)
 	return d, nil
 }
 
@@ -300,8 +276,7 @@ func (d *Detector) NewStream() (*Detector, error) { return d.NewStreamNamed("") 
 
 // NewStreamNamed is NewStream with an explicit trace-journal stream name
 // (shown by /debug/events and match records; empty auto-assigns one). The
-// new detector shares this detector's runtime-adjustable slow-window
-// budget, so one POST /debug/slow-window reaches every stream.
+// new detector shares this detector's overload controller.
 func (d *Detector) NewStreamNamed(name string) (*Detector, error) {
 	eng, err := core.NewEngineWith(d.engine.Config(), d.engine.Queries())
 	if err != nil {
@@ -312,13 +287,8 @@ func (d *Detector) NewStreamNamed(name string) (*Detector, error) {
 	// streams share the query set but must manage their own durability.
 	ncfg.CheckpointDir = ""
 	ncfg.StreamName = name
-	nd := &Detector{cfg: ncfg, pipeline: d.pipeline, engine: eng, winKeyF: d.winKeyF,
-		slowVar: d.slowVar, ctl: d.ctl}
-	eng.OnMatch = nd.forward
-	nd.armSlowWindow(eng)
-	nd.armTrace(eng)
-	nd.armOverload(eng)
-	nd.armPerf(eng)
+	nd := &Detector{cfg: ncfg, pipeline: d.pipeline, winKeyF: d.winKeyF, ctl: d.ctl}
+	nd.adopt(eng)
 	return nd, nil
 }
 
@@ -348,13 +318,20 @@ func LoadDetector(cfg Config, r io.Reader) (*Detector, error) {
 	if err != nil {
 		return nil, err
 	}
+	d.adopt(eng)
+	return d, nil
+}
+
+// adopt makes eng this detector's engine and wires it to the detector's
+// sinks: match forwarding, the trace journal, the lineage's overload
+// controller and the span collector. Every engine construction site
+// (NewDetector, NewStreamNamed, LoadDetector, Resume) goes through it.
+func (d *Detector) adopt(eng *core.Engine) {
 	d.engine = eng
 	eng.OnMatch = d.forward
-	d.armSlowWindow(eng)
 	d.armTrace(eng)
 	d.armOverload(eng)
 	d.armPerf(eng)
-	return d, nil
 }
 
 // forward converts engine matches (key-frame indices) to stream time and
@@ -508,20 +485,13 @@ func (d *Detector) Monitor(stream io.Reader) ([]Match, error) {
 	// amortised — which matters once the window kernel fans out to workers.
 	room := d.winKeyF - d.engine.PendingFrames()
 	batch := make([]uint64, 0, d.winKeyF)
-	// Front-end stage timing (decode, extract) aggregates per basic window
-	// to match the matching-kernel stages' granularity. When the overload
-	// controller is armed, the timer also runs so the controller sees full
-	// ingest latency (the engine only knows its own kernel time).
-	fe := newFrontEndTimer(d.winKeyF)
-	fe.eng = d.engine
-	if d.ctl != nil || d.engine.PerfArmed() {
-		fe.active = true
-	}
-	d.fe = &fe
-	defer func() { d.fe = nil }()
+	// Front-end stages (decode, extract) are added into the engine's window
+	// record frame by frame whenever some sink consumes it; the engine
+	// folds them into the window those frames fill.
+	sp := d.engine.Span()
 	for {
 		var tDec time.Time
-		if fe.active {
+		if sp != nil {
 			tDec = time.Now()
 		}
 		dcf, err := pd.Next()
@@ -532,12 +502,13 @@ func (d *Detector) Monitor(stream io.Reader) ([]Match, error) {
 			return nil, err
 		}
 		var tExt time.Time
-		if fe.active {
+		if sp != nil {
 			tExt = time.Now()
+			sp.Add(perfobs.StageDecode, tExt.Sub(tDec))
 		}
 		batch = append(batch, d.cellID(dcf, scratch))
-		if fe.active {
-			fe.add(tExt.Sub(tDec), time.Since(tExt))
+		if sp != nil {
+			sp.Add(perfobs.StageExtract, time.Since(tExt))
 		}
 		if d.curPD != nil {
 			d.keyMap = append(d.keyMap, dcf.Info.Index)
@@ -555,7 +526,6 @@ func (d *Detector) Monitor(stream io.Reader) ([]Match, error) {
 			room = d.winKeyF
 		}
 	}
-	fe.flush()
 	if len(batch) > 0 {
 		if err := d.pushLogged(batch); err != nil {
 			return nil, err
