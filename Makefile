@@ -72,12 +72,13 @@ robustness-smoke:
 # Reduced-scale pre-filter gate under the race detector: 10³ queries
 # streamed with the Bloom tier off and on — match output must be identical,
 # ≥90% of per-row probes rejected, bounded false positives — plus the
-# filter/churn/equivalence suites. Writes the measured level as a JSON
-# artifact into queryscale-report/.
+# filter/churn/equivalence suites, the bit-signature suite and the probe's
+# reference checks against the linear scan. Writes the measured level as a
+# JSON artifact into queryscale-report/.
 queryscale-smoke:
-	$(GO) test -race -count=1 ./internal/prefilter
+	$(GO) test -race -count=1 ./internal/prefilter ./internal/bitsig
 	QUERYSCALE_REPORT_DIR=$(CURDIR)/queryscale-report $(GO) test -race -count=1 \
-		-run 'TestQueryScaleSmoke|TestPreFilter|TestProbeShardMasked|TestProbeChurn|TestAddRemoveErrors|TestAddBatch|TestRowMask' \
+		-run 'TestQueryScaleSmoke|TestPreFilter|TestProbeShardMasked|TestProbeChurn|TestAddRemoveErrors|TestAddBatch|TestRowMask|TestProbeMatchesScan|TestProbeAfterOnlineUpdates|TestCloneProbeEquivalence' \
 		./internal/qindex ./internal/core ./internal/experiments
 
 # Overload gate under the race detector: the degrade-layer unit suites plus

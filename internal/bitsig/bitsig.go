@@ -81,12 +81,24 @@ func words(k int) int { return (k + 63) / 64 }
 
 // New returns an all-Greater signature for K positions (the identity of the
 // OR combination).
-func New(k int) *Signature {
+func New(k int) *Signature { return &NewSlab(k, 1)[0] }
+
+// NewSlab returns n all-Greater signatures for K positions whose planes are
+// carved from one backing array: two allocations for the lot instead of two
+// per signature. The signatures are independent (no plane overlaps
+// another's), but the array stays reachable while any of them is.
+func NewSlab(k, n int) []Signature {
 	if k <= 0 {
 		panic(fmt.Sprintf("bitsig: K=%d must be positive", k))
 	}
-	n := words(k)
-	return &Signature{K: k, Lo: make([]uint64, n), Hi: make([]uint64, n)}
+	w := words(k)
+	back := make([]uint64, 2*w*n)
+	sigs := make([]Signature, n)
+	for i := range sigs {
+		p := back[2*w*i : 2*w*(i+1)]
+		sigs[i] = Signature{K: k, Lo: p[:w:w], Hi: p[w:]}
+	}
+	return sigs
 }
 
 // FromSketches builds the signature of a candidate sketch against a query
@@ -96,10 +108,40 @@ func FromSketches(cand, query minhash.Sketch) *Signature {
 		panic("bitsig: sketch length mismatch")
 	}
 	s := New(len(cand))
-	for r, cv := range cand {
-		s.Set(r, Compare(cv, query[r]))
-	}
+	s.SetSketches(cand, query)
 	return s
+}
+
+// SetSketches overwrites every position of s with the relation of cand to
+// query, 64 positions per plane word and without data-dependent branches:
+// the borrow of query−cand is the Greater bit, the borrow of cand−query the
+// Less bit. Both sketches must have length K.
+func (s *Signature) SetSketches(cand, query minhash.Sketch) {
+	if len(cand) != s.K || len(query) != s.K {
+		panic("bitsig: sketch length mismatch")
+	}
+	for w := range s.Lo {
+		c := cand[w*64 : min(w*64+64, s.K)]
+		gt, lt := relWord(c, query[w*64:w*64+len(c)])
+		s.Lo[w] = ^gt & (^uint64(0) >> (64 - len(c)))
+		s.Hi[w] = lt
+	}
+}
+
+// relWord returns the Greater and Less bit words of up to 64 positions,
+// shifting each borrow in from the top so the accumulators only ever move
+// by one. Kept out of line: inlined, the loop spills the caller's state.
+//
+//go:noinline
+func relWord(c, q []uint64) (gt, lt uint64) {
+	q = q[:len(c)]
+	for j := len(c) - 1; j >= 0; j-- {
+		_, g := bits.Sub64(q[j], c[j], 0)
+		_, l := bits.Sub64(c[j], q[j], 0)
+		gt = gt<<1 + g
+		lt = lt<<1 + l
+	}
+	return gt, lt
 }
 
 // Set records the relation at position r. Positions start as Greater; Set
@@ -153,11 +195,10 @@ func (s *Signature) Or(other *Signature) {
 
 // Clone returns an independent copy.
 func (s *Signature) Clone() *Signature {
-	return &Signature{
-		K:  s.K,
-		Lo: append([]uint64(nil), s.Lo...),
-		Hi: append([]uint64(nil), s.Hi...),
-	}
+	c := New(s.K)
+	copy(c.Lo, s.Lo)
+	copy(c.Hi, s.Hi)
+	return c
 }
 
 // Counts returns the number of Greater, Equal and Less positions.

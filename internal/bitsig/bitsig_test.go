@@ -3,6 +3,7 @@ package bitsig
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -189,6 +190,58 @@ func TestPropertyOrMonotoneLess(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFromSketchesMatchesReference pins the word-at-a-time FromSketches
+// against the per-position definition, Set(r, Compare(cand[r], query[r])),
+// across K values around the word boundaries. Values come from a tiny
+// alphabet (so ties are frequent) that includes both ends of the uint64
+// range, where a borrow-based comparison would first go wrong.
+func TestFromSketchesMatchesReference(t *testing.T) {
+	alphabet := []uint64{0, 1, 2, math.MaxUint64 - 1, math.MaxUint64, 1 << 63, 1<<63 - 1}
+	rng := rand.New(rand.NewSource(40))
+	for _, k := range []int{1, 63, 64, 65, 800} {
+		for trial := 0; trial < 50; trial++ {
+			cand, query := make(minhash.Sketch, k), make(minhash.Sketch, k)
+			for r := range cand {
+				cand[r] = alphabet[rng.Intn(len(alphabet))]
+				query[r] = alphabet[rng.Intn(len(alphabet))]
+				if trial%5 == 0 { // forced ties
+					query[r] = cand[r]
+				}
+			}
+			want := New(k)
+			for r := range cand {
+				want.Set(r, Compare(cand[r], query[r]))
+			}
+			got := FromSketches(cand, query)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("K=%d trial %d: FromSketches lo=%x hi=%x, reference lo=%x hi=%x",
+					k, trial, got.Lo, got.Hi, want.Lo, want.Hi)
+			}
+		}
+	}
+}
+
+// TestSlabSignaturesIndependent: signatures carved from one slab start
+// all-Greater and never write into each other's planes.
+func TestSlabSignaturesIndependent(t *testing.T) {
+	for _, k := range []int{1, 64, 65} {
+		sigs := NewSlab(k, 3)
+		ones := make(minhash.Sketch, k)
+		for r := range ones {
+			ones[r] = 1
+		}
+		sigs[1].SetSketches(make(minhash.Sketch, k), ones) // all Less
+		for _, i := range []int{0, 2} {
+			if g, _, _ := sigs[i].Counts(); g != k {
+				t.Fatalf("K=%d: slab neighbour %d disturbed (%d Greater)", k, i, g)
+			}
+		}
+		if sigs[1].LessCount() != k {
+			t.Fatalf("K=%d: LessCount %d after all-Less fill", k, sigs[1].LessCount())
+		}
 	}
 }
 

@@ -171,7 +171,13 @@ type Stats struct {
 	SketchCombines, SketchCompares int64
 	// SigOrs and SigTests count bit-signature operations.
 	SigOrs, SigTests int64
-	// ProbeComparisons accumulates value comparisons inside probing.
+	// ProbeComparisons accumulates value comparisons inside probing: one
+	// per owned equal entry the index probe inspects (discovery), plus K
+	// for every signature a probe builds (the linear scan builds one per
+	// query; the index probe one per query it discovered, pruned or not).
+	// Each query is owned by exactly one shard, so the count splits exactly
+	// across shards; a sound pre-filter mask rejects only rows with no
+	// equal entry, so the count does not depend on the mask.
 	ProbeComparisons int64
 	// SignatureSum sums, over windows, the number of bit signatures alive
 	// in C_L after processing the window; AvgSignatures() is the paper's

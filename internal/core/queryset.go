@@ -103,7 +103,7 @@ func (v *queryPlane) windowRowMask(sk minhash.Sketch) (mask qindex.RowMask, prob
 }
 
 // bytes estimates the plane's memory footprint: sketches and retained raw
-// cell ids, the Hash-Query index triples, and the Bloom filter bits. This
+// cell ids, the Hash-Query index entries, and the Bloom filter bits. This
 // is the term the fleet's bytes-per-stream accounting shows is paid once
 // per process, not once per stream.
 func (v *queryPlane) bytes() int {

@@ -257,14 +257,13 @@ func (e *Engine) seqPostPass(win *windowResult, view *queryPlane) {
 		}
 		tracked := 0
 		if e.cfg.Method == Bit {
-			c.sigs = make([]map[int]*bitsig.Signature, e.nshards)
-			for si, rel := range win.relatedSh {
-				m := make(map[int]*bitsig.Signature, len(rel))
-				for qid, sig := range rel {
-					m[qid] = sig.Clone()
-				}
-				c.sigs[si] = m
-				tracked += len(m)
+			// The candidate takes the window's probe signatures as they are:
+			// each probe carved them from a slab of its own, so nothing else
+			// writes them, and the candidate's later Or folds are the only
+			// mutation.
+			c.sigs = win.relatedSh
+			for _, rel := range win.relatedSh {
+				tracked += len(rel)
 			}
 		} else {
 			c.sketch = win.sketch.Clone()

@@ -18,10 +18,7 @@ import (
 func normalizeProbe(po ProbeOutput) string {
 	rel := append([]Result(nil), po.Related...)
 	sort.Slice(rel, func(i, j int) bool { return rel[i].QID < rel[j].QID })
-	var pruned []int
-	for id := range po.Pruned {
-		pruned = append(pruned, id)
-	}
+	pruned := append([]int(nil), po.Pruned...)
 	sort.Ints(pruned)
 	s := fmt.Sprintf("pruned=%v\n", pruned)
 	for _, r := range rel {

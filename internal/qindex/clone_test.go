@@ -2,6 +2,7 @@ package qindex
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"vdsms/internal/minhash"
@@ -30,13 +31,8 @@ func probeEqual(t *testing.T, a, b ProbeOutput) {
 			}
 		}
 	}
-	if len(a.Pruned) != len(b.Pruned) {
-		t.Fatalf("pruned set size %d vs %d", len(a.Pruned), len(b.Pruned))
-	}
-	for id := range a.Pruned {
-		if !b.Pruned[id] {
-			t.Fatalf("query %d pruned in one probe only", id)
-		}
+	if !slices.Equal(a.Pruned, b.Pruned) {
+		t.Fatalf("pruned lists differ: %v vs %v", a.Pruned, b.Pruned)
 	}
 }
 

@@ -16,14 +16,15 @@ type Result struct {
 }
 
 // ProbeOutput is what a Prober returns for one basic window: the surviving
-// related-query list plus the set of queries that entered R_L but were
+// related-query list plus the ids of the queries that entered R_L but were
 // pruned by Lemma 2 (their prune cascades to candidate sequences that track
 // them).
 type ProbeOutput struct {
 	Related []Result
-	Pruned  map[int]bool
+	Pruned  []int
 	// Comparisons counts elementary value comparisons performed, the CPU
-	// proxy used by the cost experiments.
+	// proxy used by the cost experiments: one per owned equal entry the
+	// index probe inspects, plus K per signature built.
 	Comparisons int
 	// EmptySearches counts rows that a RowMask admitted but whose equal
 	// search found no entry — the pre-filter tier's false positives. Zero
@@ -75,18 +76,6 @@ func ShardOf(qid, nshards int) int {
 	return s
 }
 
-// probeElem tracks one in-flight R_L element during the row sweep. The
-// query's identity is captured during the discovery up-walk (which passes
-// through row 0 anyway), and the Less count is maintained incrementally so
-// the Lemma 2 check is O(1) per row instead of a signature popcount.
-type probeElem struct {
-	col    int32 // current column of this query in the row being processed
-	qid    int
-	length int
-	less   int
-	sig    *bitsig.Signature
-}
-
 // Probe implements the ProbeIndex algorithm (paper Figure 5) over every
 // indexed query. It is ProbeShard with a single shard.
 func (x *Index) Probe(sk minhash.Sketch, delta float64) ProbeOutput {
@@ -105,124 +94,58 @@ func (x *Index) ProbeShard(sk minhash.Sketch, delta float64, shard, nshards int)
 }
 
 // ProbeShardMasked is ProbeShard under a pre-filter row mask: rows the
-// mask rejects skip their equal search (step 3) entirely, which is the
-// whole per-row cost for the overwhelmingly common case of a window value
-// matching no query. Steps (1) and (2) — advancing and pruning already-
-// discovered R_L elements — are unaffected, so the output is identical to
-// the unmasked probe whenever the mask has no false negatives (which the
-// prefilter tier guarantees). A nil mask searches every row.
+// mask rejects skip their equal search entirely, which is the whole per-row
+// cost for the overwhelmingly common case of a window value matching no
+// query. The output is identical to the unmasked probe whenever the mask has
+// no false negatives (which the prefilter tier guarantees). A nil mask
+// searches every row.
 //
-// For each row it (1) advances every surviving owned R_L element via its
-// down link and records the relation of the window's hash value to the
-// query's, (2) prunes elements violating Lemma 2, and (3) binary-searches
-// the row for values equal to sk[i], walking new owned matches' up links to
-// reconstruct their bits for the earlier rows.
+// It (1) binary-searches every admitted row for values equal to sk[i],
+// collecting the owned queries found in order of discovery, then (2) builds
+// each discovered query's signature in one pass over its stored sketch and
+// applies the Lemma 2 prune to its Less count. The paper's row walk prunes
+// as soon as the running Less count exceeds K(1−δ); the count only grows,
+// so testing the final count decides the same queries.
 func (x *Index) ProbeShardMasked(sk minhash.Sketch, delta float64, shard, nshards int, mask RowMask) ProbeOutput {
 	if len(sk) != x.k {
 		panic("qindex: probe sketch K mismatch")
 	}
-	out := ProbeOutput{Pruned: make(map[int]bool)}
-	// maxLess is the Lemma 2 bound: prune once less > K(1−δ).
-	maxLess := float64(x.k) * (1 - delta)
-	live := make([]probeElem, 0, 8)
-	// dead tracks the current-row columns of queries already pruned in this
-	// probe. Lemma 2 is monotone, so a pruned query can never recover;
-	// advancing its column each row (one pointer chase) prevents the equal
-	// search from repeatedly re-adding and re-up-walking it.
-	var dead []int32
-	// occ marks columns held by live or dead elements in the current row:
-	// occ[col] == i+1 means occupied in row i (stamping avoids per-row
-	// clearing).
-	occ := make([]int32, len(x.meta))
-
-	for i := 0; i < x.k; i++ {
-		row := x.rows[i]
-		v := sk[i]
-		stamp := int32(i + 1)
-
-		// (1) Advance existing elements and set their bit for row i.
-		kept := live[:0]
-		for di, col := range dead {
-			if i > 0 {
-				col = x.rows[i-1][col].down
-				dead[di] = col
-			}
-			occ[col] = stamp
-		}
-		for _, el := range live {
-			if i > 0 {
-				el.col = x.rows[i-1][el.col].down
-			}
-			t := row[el.col].value
-			rel := bitsig.Compare(v, t)
-			el.sig.Set(i, rel)
-			out.Comparisons++
-			if rel == bitsig.Less {
-				el.less++
-			}
-			// (2) Lemma 2 prune.
-			if float64(el.less) > maxLess {
-				out.Pruned[el.qid] = true
-				dead = append(dead, el.col)
-				occ[el.col] = stamp
-				continue
-			}
-			kept = append(kept, el)
-			occ[el.col] = stamp
-		}
-		live = kept
-
-		// (3) Find equal values of owned queries not yet tracked. A row the
-		// pre-filter mask rejects is guaranteed to hold no equal value, so
-		// its binary search is skipped outright.
+	var out ProbeOutput
+	var found []int
+	seen := make(map[int]struct{})
+	for i, v := range sk {
 		if !mask.Admits(i) {
 			continue
 		}
+		row := x.rows[i]
 		lo := sort.Search(len(row), func(j int) bool { return row[j].value >= v })
 		if mask != nil && (lo >= len(row) || row[lo].value != v) {
 			out.EmptySearches++
 		}
 		for j := lo; j < len(row) && row[j].value == v; j++ {
-			if ShardOf(row[j].qid, nshards) != shard {
+			qid := row[j].qid
+			if ShardOf(qid, nshards) != shard {
 				continue
 			}
 			out.Comparisons++
-			col := int32(j)
-			if occ[col] == stamp {
+			if _, dup := seen[qid]; dup {
 				continue
 			}
-			el := probeElem{col: col, sig: bitsig.New(x.k)}
-			el.sig.Set(i, bitsig.Equal)
-			// Up-walk: reconstruct the relations for rows 0..i-1 and pick up
-			// the query's identity at row 0.
-			c := col
-			for r := i - 1; r >= 0; r-- {
-				c = x.rows[r+1][c].up
-				rel := bitsig.Compare(sk[r], x.rows[r][c].value)
-				el.sig.Set(r, rel)
-				out.Comparisons++
-				if rel == bitsig.Less {
-					el.less++
-				}
-			}
-			// After the walk c is the query's column at row 0 (and when
-			// i == 0 it never moved from col).
-			el.qid, el.length = x.meta[c].qid, x.meta[c].length
-			if float64(el.less) > maxLess {
-				out.Pruned[el.qid] = true
-				dead = append(dead, col)
-				occ[col] = stamp
-				continue
-			}
-			live = append(live, el)
-			occ[col] = stamp
+			seen[qid] = struct{}{}
+			found = append(found, qid)
 		}
 	}
 
-	out.Related = make([]Result, 0, len(live))
-	for _, el := range live {
-		delete(out.Pruned, el.qid) // survived after all: not pruned
-		out.Related = append(out.Related, Result{QID: el.qid, Length: el.length, Sig: el.sig})
+	sigs := bitsig.NewSlab(x.k, len(found))
+	for n, qid := range found {
+		q, sig := x.queries[qid], &sigs[n]
+		sig.SetSketches(sk, q.Sketch)
+		out.Comparisons += x.k
+		if sig.Prunable(delta) {
+			out.Pruned = append(out.Pruned, qid)
+			continue
+		}
+		out.Related = append(out.Related, Result{QID: qid, Length: q.Length, Sig: sig})
 	}
 	return out
 }
@@ -246,7 +169,7 @@ func (s *Scan) Probe(sk minhash.Sketch, delta float64) ProbeOutput {
 // outputs and scan counts partition Probe's exactly, so the brute-force
 // probe parallelises linearly across workers.
 func (s *Scan) ProbeShard(sk minhash.Sketch, delta float64, shard, nshards int) (ProbeOutput, int) {
-	out := ProbeOutput{Pruned: make(map[int]bool)}
+	var out ProbeOutput
 	scanned := 0
 	for _, q := range s.Queries {
 		if ShardOf(q.ID, nshards) != shard {
@@ -260,7 +183,7 @@ func (s *Scan) ProbeShard(sk minhash.Sketch, delta float64, shard, nshards int) 
 			continue
 		}
 		if sig.Prunable(delta) {
-			out.Pruned[q.ID] = true
+			out.Pruned = append(out.Pruned, q.ID)
 			continue
 		}
 		out.Related = append(out.Related, Result{QID: q.ID, Length: q.Length, Sig: sig})

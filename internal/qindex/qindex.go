@@ -1,20 +1,25 @@
 // Package qindex implements the query-sequence index of paper Section V.C:
 // a Hash-Query array HQ[K][m] holding, per hash function (row), the m query
-// min-hash values sorted by value, each entry carrying up/down links to the
-// same query's entry in the adjacent rows. Row 0 additionally carries the
-// query id and length at each column entry.
+// min-hash values sorted by (value, query id), next to a query id → query
+// map whose sketches stay contiguous.
 //
 // Probing a basic-window sketch against the index (ProbeIndex, Figure 5)
 // returns bit signatures only for the queries that share at least one
-// min-hash value with the window — the "related query list" R_L — applying
-// the Lemma 2 prune as rows are consumed. With many queries this replaces m
-// full sketch comparisons per window by a handful of binary searches plus
-// work proportional to |R_L|.
+// min-hash value with the window — the "related query list" R_L — dropping
+// those that fail the Lemma 2 prune. The rows serve discovery only: one
+// equal-value binary search per row finds R_L, and each related query's
+// signature is then built in one word-at-a-time pass over its contiguous
+// sketch. The paper's up/down links between rows, which its row-by-row walk
+// followed, are not stored. With many queries this replaces m full sketch
+// comparisons per window by a handful of binary searches plus work
+// proportional to |R_L|.
 package qindex
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"vdsms/internal/minhash"
 )
@@ -27,38 +32,34 @@ type Query struct {
 	Sketch minhash.Sketch
 }
 
-// entry is one triple <value, up, down> of the Hash-Query array. up and
-// down are column positions in the neighbouring rows (-1 at the borders).
-// qid carries the owning query's id in every row (not just row 0) so a
-// sharded probe can decide ownership of a discovered entry before paying
-// for the up-walk that reconstructs its earlier-row bits.
+// entry is one <value, query id> cell of the Hash-Query array. Carrying the
+// id in every row lets a sharded probe decide ownership of a discovered
+// entry without leaving the row.
 type entry struct {
-	value    uint64
-	up, down int32
-	qid      int
+	value uint64
+	qid   int
 }
 
-// colMeta is the row-0 column header: query id and length.
-type colMeta struct {
-	qid    int
-	length int
-}
-
-// Index is the Hash-Query array. Rows are sorted by value; ties break by
-// query id so the structure is deterministic. Concurrent readers are safe;
-// Add/Remove require external synchronisation.
+// Index is the Hash-Query array. Rows are sorted by (value, query id), so
+// the structure depends only on the indexed set, not on the order queries
+// arrived in. Concurrent readers are safe; Add/Remove require external
+// synchronisation.
 type Index struct {
 	k    int
 	rows [][]entry
-	meta []colMeta // parallel to rows[0]
-	// colOf[q] when >= 0 caches the row-0 column of query q for O(1)
-	// Remove; it is rebuilt lazily after mutations.
-	pos map[int]int // qid → row-0 column
+	// queries holds every indexed query; sketches share the caller's
+	// backing arrays, which must not change while indexed.
+	queries map[int]Query
+}
+
+// cmpEntry orders entries within a row: by value, ties by query id.
+func cmpEntry(a, b entry) int {
+	return cmp.Or(cmp.Compare(a.value, b.value), cmp.Compare(a.qid, b.qid))
 }
 
 // Build constructs the index from the query sketches (BuildIndex of the
 // paper, done offline). All sketches must share the same K, ids must be
-// unique, and lengths positive.
+// unique, and lengths positive. The index retains the sketches.
 func Build(queries []Query) (*Index, error) {
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("qindex: no queries")
@@ -67,7 +68,7 @@ func Build(queries []Query) (*Index, error) {
 	if k == 0 {
 		return nil, fmt.Errorf("qindex: empty sketch")
 	}
-	seen := make(map[int]bool, len(queries))
+	idx := &Index{k: k, rows: make([][]entry, k), queries: make(map[int]Query, len(queries))}
 	for _, q := range queries {
 		if len(q.Sketch) != k {
 			return nil, fmt.Errorf("qindex: query %d sketch has K=%d, want %d", q.ID, len(q.Sketch), k)
@@ -75,140 +76,85 @@ func Build(queries []Query) (*Index, error) {
 		if q.Length <= 0 {
 			return nil, fmt.Errorf("qindex: query %d has non-positive length", q.ID)
 		}
-		if seen[q.ID] {
+		if _, dup := idx.queries[q.ID]; dup {
 			return nil, fmt.Errorf("qindex: duplicate query id %d", q.ID)
 		}
-		seen[q.ID] = true
+		idx.queries[q.ID] = q
 	}
-
-	m := len(queries)
-	idx := &Index{k: k, rows: make([][]entry, k), pos: make(map[int]int, m)}
-
-	// Per row, sort the m (value, query) pairs; record each query's column.
-	cols := make([][]int, k) // cols[i][q-th input] = column of queries[q] in row i
-	order := make([]int, m)
-	for i := 0; i < k; i++ {
-		for j := range order {
-			order[j] = j
+	for i := range idx.rows {
+		row := make([]entry, len(queries))
+		for j, q := range queries {
+			row[j] = entry{value: q.Sketch[i], qid: q.ID}
 		}
-		sort.SliceStable(order, func(a, b int) bool {
-			va, vb := queries[order[a]].Sketch[i], queries[order[b]].Sketch[i]
-			if va != vb {
-				return va < vb
-			}
-			return queries[order[a]].ID < queries[order[b]].ID
-		})
-		row := make([]entry, m)
-		colAt := make([]int, m)
-		for col, qi := range order {
-			row[col] = entry{value: queries[qi].Sketch[i], up: -1, down: -1, qid: queries[qi].ID}
-			colAt[qi] = col
-		}
+		slices.SortFunc(row, cmpEntry)
 		idx.rows[i] = row
-		cols[i] = colAt
-	}
-	// Wire up/down links and the row-0 metadata.
-	idx.meta = make([]colMeta, m)
-	for qi, q := range queries {
-		for i := 0; i < k; i++ {
-			col := cols[i][qi]
-			if i > 0 {
-				idx.rows[i][col].up = int32(cols[i-1][qi])
-			}
-			if i < k-1 {
-				idx.rows[i][col].down = int32(cols[i+1][qi])
-			}
-		}
-		c0 := cols[0][qi]
-		idx.meta[c0] = colMeta{qid: q.ID, length: q.Length}
-		idx.pos[q.ID] = c0
 	}
 	return idx, nil
 }
 
-// Clone returns a deep copy of the index. Cost O(K·m) straight memory
-// copies — the same order as a single incremental Add — which makes
-// copy-on-write churn (clone, then mutate the private copy while readers
-// keep probing the original) as cheap as in-place mutation was.
+// Clone returns a deep copy of the index (sketches stay shared: they are
+// immutable). Cost O(K·m) straight memory copies — the same order as a
+// single incremental Add — which makes copy-on-write churn (clone, then
+// mutate the private copy while readers keep probing the original) as
+// cheap as in-place mutation was.
 func (x *Index) Clone() *Index {
-	c := &Index{
-		k:    x.k,
-		rows: make([][]entry, len(x.rows)),
-		meta: append([]colMeta(nil), x.meta...),
-		pos:  make(map[int]int, len(x.pos)),
-	}
+	c := &Index{k: x.k, rows: make([][]entry, len(x.rows)), queries: maps.Clone(x.queries)}
 	for i, row := range x.rows {
-		c.rows[i] = append([]entry(nil), row...)
-	}
-	for id, col := range x.pos {
-		c.pos[id] = col
+		c.rows[i] = slices.Clone(row)
 	}
 	return c
 }
 
-// Bytes estimates the index's memory footprint: the <value, up, down, qid>
-// triples of every row plus the row-0 metadata and the position cache. The
-// per-stream memory experiments treat this as the shared query plane's
-// dominant term.
+// Bytes estimates the index's memory footprint: the 16-byte <value, qid>
+// entries of every row plus the query map (its sketches belong to the
+// caller and are not counted). The per-stream memory experiments treat
+// this as the shared query plane's dominant term.
 func (x *Index) Bytes() int {
-	const entryBytes = 8 + 4 + 4 + 8 // value, up, down, qid
+	const entryBytes = 8 + 8  // value, qid
+	const queryBytes = 8 + 40 // map key, Query{ID, Length, Sketch header}
 	b := 0
 	for _, row := range x.rows {
 		b += len(row) * entryBytes
 	}
-	b += len(x.meta) * 16
-	b += len(x.pos) * 16
-	return b
+	return b + len(x.queries)*queryBytes
 }
 
 // K returns the number of hash functions (rows).
 func (x *Index) K() int { return x.k }
 
 // Len returns the number of indexed queries.
-func (x *Index) Len() int { return len(x.meta) }
+func (x *Index) Len() int { return len(x.queries) }
 
-// SizeTriples returns the number of <value, up, down> triples stored —
-// m×K, the paper's fixed query-index memory figure.
-func (x *Index) SizeTriples() int { return x.k * len(x.meta) }
-
-// QueryIDs returns the indexed query ids in row-0 column order.
+// QueryIDs returns the indexed query ids in row-0 order.
 func (x *Index) QueryIDs() []int {
-	out := make([]int, len(x.meta))
-	for i, m := range x.meta {
-		out[i] = m.qid
+	out := make([]int, len(x.rows[0]))
+	for i, e := range x.rows[0] {
+		out[i] = e.qid
 	}
 	return out
 }
 
-// SketchOf reconstructs the stored sketch of query id by walking the down
-// links from its row-0 entry (the paper's "given a query id q ... down
-// search is performed to find all the hash values of q").
+// SketchOf returns the stored sketch of query id. The slice is the one the
+// index was given; callers must not modify it.
 func (x *Index) SketchOf(id int) (minhash.Sketch, bool) {
-	col, ok := x.pos[id]
-	if !ok {
-		return nil, false
-	}
-	out := make(minhash.Sketch, x.k)
-	c := int32(col)
-	for i := 0; i < x.k; i++ {
-		out[i] = x.rows[i][c].value
-		c = x.rows[i][c].down
-	}
-	return out, true
+	q, ok := x.queries[id]
+	return q.Sketch, ok
 }
 
 // LengthOf returns the stored length of query id.
 func (x *Index) LengthOf(id int) (int, bool) {
-	col, ok := x.pos[id]
-	if !ok {
-		return 0, false
-	}
-	return x.meta[col].length, true
+	q, ok := x.queries[id]
+	return q.Length, ok
+}
+
+// find returns the position in row i where e is or would be inserted.
+func (x *Index) find(i int, e entry) int {
+	p, _ := slices.BinarySearchFunc(x.rows[i], e, cmpEntry)
+	return p
 }
 
 // Add subscribes a new query online: each row receives one entry at its
-// sorted position, and the up/down links of entries referring to shifted
-// positions are fixed up. Cost O(K·m).
+// sorted position. Cost O(K·m) memory moves. The index retains the sketch.
 func (x *Index) Add(q Query) error {
 	if len(q.Sketch) != x.k {
 		return fmt.Errorf("qindex: sketch K=%d, index K=%d", len(q.Sketch), x.k)
@@ -216,108 +162,28 @@ func (x *Index) Add(q Query) error {
 	if q.Length <= 0 {
 		return fmt.Errorf("qindex: non-positive length")
 	}
-	if _, dup := x.pos[q.ID]; dup {
+	if _, dup := x.queries[q.ID]; dup {
 		return fmt.Errorf("qindex: query id %d already subscribed", q.ID)
 	}
-	// Insertion position per row: after the last entry with equal value
-	// (tie order by arrival is fine; determinism is preserved per instance).
-	insAt := make([]int, x.k)
-	for i := 0; i < x.k; i++ {
-		v := q.Sketch[i]
-		insAt[i] = sort.Search(len(x.rows[i]), func(j int) bool {
-			return x.rows[i][j].value > v
-		})
+	for i, v := range q.Sketch {
+		e := entry{value: v, qid: q.ID}
+		x.rows[i] = slices.Insert(x.rows[i], x.find(i, e), e)
 	}
-	for i := 0; i < x.k; i++ {
-		p := insAt[i]
-		// Shift references in the neighbouring rows. The entry freshly
-		// inserted into row i-1 already points at the new entry's final
-		// position and must not shift.
-		if i > 0 {
-			for j := range x.rows[i-1] {
-				if j == insAt[i-1] {
-					continue
-				}
-				if x.rows[i-1][j].down >= int32(p) {
-					x.rows[i-1][j].down++
-				}
-			}
-		}
-		if i < x.k-1 {
-			for j := range x.rows[i+1] {
-				if x.rows[i+1][j].up >= int32(p) {
-					x.rows[i+1][j].up++
-				}
-			}
-		}
-		e := entry{value: q.Sketch[i], up: -1, down: -1, qid: q.ID}
-		if i > 0 {
-			e.up = int32(insAt[i-1])
-		}
-		if i < x.k-1 {
-			e.down = int32(insAt[i+1])
-		}
-		row := x.rows[i]
-		row = append(row, entry{})
-		copy(row[p+1:], row[p:])
-		row[p] = e
-		x.rows[i] = row
-	}
-	// Row-0 metadata shifts with the insertion.
-	p0 := insAt[0]
-	x.meta = append(x.meta, colMeta{})
-	copy(x.meta[p0+1:], x.meta[p0:])
-	x.meta[p0] = colMeta{qid: q.ID, length: q.Length}
-	for id, c := range x.pos {
-		if c >= p0 {
-			x.pos[id] = c + 1
-		}
-	}
-	x.pos[q.ID] = p0
+	x.queries[q.ID] = q
 	return nil
 }
 
-// Remove unsubscribes a query online, the inverse of Add. Cost O(K·m).
+// Remove unsubscribes a query online, the inverse of Add. Cost O(K·m)
+// memory moves.
 func (x *Index) Remove(id int) error {
-	col, ok := x.pos[id]
+	q, ok := x.queries[id]
 	if !ok {
 		return fmt.Errorf("qindex: query id %d not subscribed", id)
 	}
-	// Walk down links to find the query's column in every row first.
-	colAt := make([]int, x.k)
-	c := int32(col)
-	for i := 0; i < x.k; i++ {
-		colAt[i] = int(c)
-		c = x.rows[i][c].down
+	for i, v := range q.Sketch {
+		p := x.find(i, entry{value: v, qid: id})
+		x.rows[i] = slices.Delete(x.rows[i], p, p+1)
 	}
-	for i := 0; i < x.k; i++ {
-		p := colAt[i]
-		row := x.rows[i]
-		copy(row[p:], row[p+1:])
-		x.rows[i] = row[:len(row)-1]
-		if i > 0 {
-			for j := range x.rows[i-1] {
-				if x.rows[i-1][j].down > int32(p) {
-					x.rows[i-1][j].down--
-				}
-			}
-		}
-		if i < x.k-1 {
-			for j := range x.rows[i+1] {
-				if x.rows[i+1][j].up > int32(p) {
-					x.rows[i+1][j].up--
-				}
-			}
-		}
-	}
-	p0 := colAt[0]
-	copy(x.meta[p0:], x.meta[p0+1:])
-	x.meta = x.meta[:len(x.meta)-1]
-	delete(x.pos, id)
-	for qid, c := range x.pos {
-		if c > p0 {
-			x.pos[qid] = c - 1
-		}
-	}
+	delete(x.queries, id)
 	return nil
 }
